@@ -6,8 +6,11 @@ the common edge distance R, integrates the interference out through its
 Laplace transform, and sums the first m terms of the resulting derivative
 series via a lower-triangular recursion (equivalently a Toeplitz solve).
 
-Improper integrals are mapped onto [0, 1) with u = lower + t/(1-t) and
-evaluated with adaptive Gauss-Kronrod quadrature.
+The recursion's interference moments k_i(theta) are exact: with h = eta2/2
+and x = 1/(1 + theta^h), k_0 = B(x; 1 - 1/h, 1/h)/h and
+k_i = B(x; i - 1/h, 1 + 1/h)/h for i >= 1, where B is the incomplete beta
+function (DLMF 8.17).  The one numerical integral is the adaptive
+Gauss-Kronrod quadrature over the edge distance R, to ``CoverageParams.quad_tol``.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 from scipy.linalg import solve_triangular
 
 from .channel import PathLossParams
@@ -199,51 +202,40 @@ def optimal_cluster_size(
 # coverage probability machinery
 # ---------------------------------------------------------------------------
 
-def _improper_quad(f, lower: float, quad_tol: float) -> float:
-    """Adaptive quadrature of f over [lower, inf) via u = lower + t/(1-t)."""
+def k_integral(i: int | np.ndarray, theta: float, eta2: float) -> float | np.ndarray:
+    """Interference moment integrals k_i(theta) of the orders ``i``.
 
-    def g(t):
-        u = lower + t / (1.0 - t)
-        return f(u) / (1.0 - t) ** 2
+    With h = eta2/2, order 0 is int_theta^inf du / (1 + u^h) and orders
+    i >= 1 are int_theta^inf u^h / (1 + u^h)^(i+1) du.  Substituting
+    t = 1/(1 + u^h) turns both into incomplete beta functions
+    B(x; a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt (DLMF 8.17.1):
 
-    out = integrate.quad(g, 0.0, 1.0, epsabs=1e-14, epsrel=quad_tol, limit=200, full_output=1)
-    if len(out) > 3:
-        raise NumericalError(
-            f"quadrature did not converge on [{lower}, inf): {out[3]}"
-        )
-    return out[0]
+        k_0(theta) = B(x; 1 - 1/h, 1/h) / h,
+        k_i(theta) = B(x; i - 1/h, 1 + 1/h) / h,   x = 1/(1 + theta^h),
 
-
-def k_integral(
-    i: int,
-    theta: float,
-    eta2: float,
-    quad_tol: float = 1e-8,
-    force_quadrature: bool = False,
-) -> float:
-    """Interference moment integral of order ``i`` with lower limit ``theta``.
-
-    Order 0 is int_theta^inf du / (1 + u^(eta2/2)); for eta2 = 4 the closed
-    form pi/2 - arctan(theta) is used unless ``force_quadrature`` is set.
-    Orders i >= 1 integrate u^(eta2/2) / (1 + u^(eta2/2))^(i+1), which is the
-    same integrand as 1/((1+u^(eta2/2))^i (1+u^(-eta2/2))) but finite at u = 0.
+    evaluated as ``beta(a, b) * betainc(a, b, x)``.  ``i`` may be one order
+    (returns a float) or an array of orders (returns an array of the same
+    shape), so that a whole recursion's k values cost one call.
     """
-    if i < 0 or int(i) != i:
-        raise ParameterError(f"order i must be a non-negative integer, got {i}")
+    order = np.asarray(i)
+    if (order < 0).any() or (order % 1).any():
+        raise ParameterError(f"orders must be non-negative integers, got {i}")
     if theta < 0:
         raise ParameterError(f"theta must be non-negative, got {theta}")
     if eta2 <= 2.0:
         raise ParameterError(
-            f"the order-{i} interference integral diverges for eta2 <= 2 (got {eta2})"
+            f"the interference integrals diverge for eta2 <= 2 (got {eta2})"
         )
-    half = eta2 / 2.0
-    if i == 0:
-        if eta2 == 4.0 and not force_quadrature:
-            return float(np.pi / 2.0 - np.arctan(theta))
-        return _improper_quad(lambda u: 1.0 / (1.0 + u**half), theta, quad_tol)
-    return _improper_quad(
-        lambda u: u**half / (1.0 + u**half) ** (i + 1), theta, quad_tol
-    )
+    h = eta2 / 2.0
+    zero = order == 0  # order 0 shifts (a, b) from (i - 1/h, 1 + 1/h) by (+1, -1)
+    a = order - 1.0 / h + zero
+    b = 1.0 + 1.0 / h - zero
+    try:
+        x = 1.0 / (1.0 + float(theta) ** h)
+    except OverflowError:  # theta^h beyond the float range: every k_i is 0
+        x = 0.0
+    k = special.beta(a, b) * special.betainc(a, b, x) / h
+    return float(k) if k.ndim == 0 else k
 
 
 def laplace_interference(
@@ -251,7 +243,6 @@ def laplace_interference(
     lambda_bs: float,
     big_r: float,
     pathloss: PathLossParams,
-    quad_tol: float = 1e-8,
 ) -> float:
     """Laplace transform at ``s`` of the far-branch interference from a PPP
     outside radius ``big_r``:
@@ -268,7 +259,7 @@ def laplace_interference(
     eta2 = pathloss.eta2
     sl = (s * pathloss.continuity_constant) ** (2.0 / eta2)
     theta = big_r**2 / sl
-    return float(np.exp(-np.pi * lambda_bs * sl * k_integral(0, theta, eta2, quad_tol)))
+    return float(np.exp(-np.pi * lambda_bs * sl * k_integral(0, theta, eta2)))
 
 
 @dataclass(frozen=True)
@@ -344,10 +335,7 @@ def toeplitz_state(params: CoverageParams, big_r: float) -> ToeplitzState:
     if big_r <= 0:
         raise ParameterError(f"big_r must be positive, got {big_r}")
     b0, theta, _ = _laplace_scale(params, big_r)
-    eta2 = params.pathloss.eta2
-    k = np.array(
-        [k_integral(i, theta, eta2, params.quad_tol) for i in range(params.m)]
-    )
+    k = k_integral(np.arange(params.m), theta, params.pathloss.eta2)
     a = np.empty(params.m)
     a[0] = np.exp(-b0 * k[0])
     for n in range(1, params.m):

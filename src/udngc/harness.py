@@ -5,13 +5,16 @@ happens exactly once, in :class:`ScenarioParams.tau_linear`.
 
 CSV schema (fixed): ``parameter,value,metric,analytic,simulated,ci95,trials,
 runtime_ms``.  Numeric cells carry 12 significant digits, '.' decimal, LF
-line endings.  In bit-exact mode (single thread) the runtime_ms column is
-left empty so repeated runs of the same seed are byte-identical.
+line endings; a field holding a comma is double-quoted.  In bit-exact mode
+(single thread) the runtime_ms column is left empty so repeated runs of the
+same seed are byte-identical.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import importlib.resources
+import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -191,20 +194,12 @@ def parse_config(path) -> ScenarioParams:
 
 
 def apply_overrides(scenario_kwargs: dict, overrides) -> dict:
-    """Merge CLI ``key=value`` strings into scenario keyword arguments."""
-    merged = dict(scenario_kwargs)
-    for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in _ALL_FIELDS:
-            raise ConfigError(f"unknown key: {key}")
-        try:
-            merged[key] = int(val) if key in _INT_FIELDS else float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {val!r}") from exc
-    return merged
+    """Merge CLI ``key=value`` strings into scenario keyword arguments.
+
+    Each string is parsed as one line of a scenario file, so errors name it
+    as ``--set:<n>``, the n-th override.
+    """
+    return {**scenario_kwargs, **_parse_kv("\n".join(overrides or ()), "--set")}
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +231,29 @@ def _fmt(x) -> str:
 
 
 def rows_to_csv(rows, bit_exact: bool) -> str:
-    """Render rows under the fixed schema; blanks runtime_ms in bit-exact mode."""
-    lines = [CSV_HEADER]
+    """Render rows under the fixed schema; blanks runtime_ms in bit-exact mode.
+
+    Fields holding a comma (metric labels such as ``handover_rate[gcho,M=3]``)
+    are quoted, so every row reads back as eight fields.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    buf.write(CSV_HEADER + "\n")
     for r in rows:
         runtime = None if bit_exact else r.runtime_ms
-        lines.append(
-            ",".join(
-                [
-                    r.parameter,
-                    _fmt(r.value),
-                    r.metric,
-                    _fmt(r.analytic),
-                    _fmt(r.simulated),
-                    _fmt(r.ci95),
-                    _fmt(r.trials),
-                    _fmt(runtime),
-                ]
-            )
+        writer.writerow(
+            [
+                r.parameter,
+                _fmt(r.value),
+                r.metric,
+                _fmt(r.analytic),
+                _fmt(r.simulated),
+                _fmt(r.ci95),
+                _fmt(r.trials),
+                _fmt(runtime),
+            ]
         )
-    return "\n".join(lines) + "\n"
+    return buf.getvalue()
 
 
 def write_rows(out_path, rows, bit_exact: bool) -> None:
@@ -742,13 +741,11 @@ def _live_checks(
     m_star_s, _ = analytics.optimal_cluster_size("gchos", costs, v, lam)
     checks.append(CheckRow("optimal_m_ratio", 4.0 ** (-1 / 3), m_star_s / m_star_g, 1e-12))
 
-    # quadrature internals
+    # recursion internals: incomplete-beta k_0 at eta2 = 4 against its
+    # elementary form, and the matrix route against the direct recursion
     theta_grid = np.linspace(0.0, 5.0, 11)
     diff = max(
-        abs(
-            analytics.k_integral(0, t, 4.0, force_quadrature=True)
-            - (np.pi / 2 - np.arctan(t))
-        )
+        abs(analytics.k_integral(0, t, 4.0) - (np.pi / 2 - np.arctan(t)))
         for t in theta_grid
     )
     checks.append(CheckRow("k0_closed_form_max_err", 0.0, diff, 1e-8))

@@ -124,8 +124,8 @@ def test_criterion_5_recursion_internals():
     with criterion(5, "order-0 integral closed form to 1e-8; matrix vs recursion to 1e-10"):
         for theta in np.linspace(0.0, 6.0, 13):
             closed = np.pi / 2 - np.arctan(theta)
-            quadrature = analytics.k_integral(0, theta, 4.0, force_quadrature=True)
-            assert abs(quadrature - closed) < 1e-8
+            incomplete_beta = analytics.k_integral(0, theta, 4.0)
+            assert abs(incomplete_beta - closed) < 1e-8
         for m in range(2, 10):
             for (tau, lam, big_r) in ((1.0, 0.01, 8.0), (10.0, 0.003, 15.0), (0.1, 0.02, 3.0)):
                 params = CoverageParams(

@@ -1,4 +1,4 @@
-"""Closed forms: rate family, costs, quadrature internals, coverage probability."""
+"""Closed forms: rate family, costs, k integrals, recursion, coverage probability."""
 import dataclasses
 
 import mpmath as mp
@@ -187,15 +187,58 @@ class TestOptimalClusterSize:
                 assert best <= c(hi + 1)
 
 
+def _k_integrand(i, u, eta2):
+    """The integrand of k_i at u, before any substitution."""
+    half = eta2 / 2
+    return 1 / (1 + u**half) if i == 0 else u**half / (1 + u**half) ** (i + 1)
+
+
 class TestKIntegral:
     def test_order0_closed_forms(self):
         assert k_integral(0, 0.0, 4.0) == pytest.approx(np.pi / 2)
         assert k_integral(0, 1.0, 4.0) == pytest.approx(np.pi / 4)
 
-    def test_order0_quadrature_matches_closed_form(self):
+    def test_order0_incomplete_beta_matches_arctan(self):
         for theta in (0.0, 0.3, 1.0, 4.0):
             closed = np.pi / 2 - np.arctan(theta)
-            assert abs(k_integral(0, theta, 4.0, force_quadrature=True) - closed) < 1e-8
+            assert abs(k_integral(0, theta, 4.0) - closed) < 1e-8
+
+    @pytest.mark.parametrize("eta2", [2.5, 3.0, 4.0, 4.5, 6.0])
+    def test_matches_mpmath_quadrature(self, eta2):
+        # independent of the incomplete-beta route: 30-digit tanh-sinh
+        # quadrature of the original integrands over [theta, inf), mapped to
+        # [0, 1) by u = theta + x/(1-x)
+        with mp.workdps(30):
+            for theta in (0.0, 0.3, 1.0, 5.0, 40.0):
+                got = k_integral(np.arange(10), theta, eta2)
+                th, e2 = mp.mpf(theta), mp.mpf(eta2)
+                for i in range(10):
+                    ref = mp.quad(
+                        lambda x: _k_integrand(i, th + x / (1 - x), e2) / (1 - x) ** 2,
+                        [0, 0.5, 0.9, 0.99, 1],
+                    )
+                    assert got[i] == pytest.approx(float(ref), rel=1e-7), (i, theta)
+
+    def test_array_of_orders_matches_single_orders(self):
+        orders = np.arange(6)
+        got = k_integral(orders, 0.7, 4.5)
+        assert got.shape == (6,)
+        assert isinstance(k_integral(2, 0.7, 4.5), float)
+        for i in orders:
+            assert got[i] == k_integral(int(i), 0.7, 4.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        i=st.integers(0, 9),
+        eta2=st.floats(2.5, 6.0),
+        theta=st.floats(0.05, 40.0),
+    )
+    def test_derivative_is_minus_integrand(self, i, eta2, theta):
+        delta = 1e-5 * theta
+        lo, hi = k_integral(i, theta - delta, eta2), k_integral(i, theta + delta, eta2)
+        assert hi <= lo  # non-increasing in theta
+        slope = (hi - lo) / (2 * delta)
+        assert slope == pytest.approx(-_k_integrand(i, theta, eta2), rel=1e-5)
 
     def test_order1_brute_force_riemann(self):
         # midpoint Riemann sum with 1e7 panels on the transformed interval
@@ -216,6 +259,14 @@ class TestKIntegral:
         with pytest.raises(ParameterError):
             k_integral(0, 0.0, 2.0)
 
+    def test_vanishes_for_huge_theta(self):
+        assert np.all(k_integral(np.arange(4), 1e200, 4.5) == 0.0)
+
+    def test_invalid_order_rejected(self):
+        for order in (-1, 1.5, np.array([0, -2])):
+            with pytest.raises(ParameterError):
+                k_integral(order, 0.5, 4.0)
+
     def test_general_eta2(self):
         # eta2 = 3: order-0 integrand ~ u^-1.5, still integrable
         val = k_integral(0, 0.5, 3.0)
@@ -229,14 +280,13 @@ class TestLaplaceTransform:
         assert laplace_interference(64.0, 0.0, 8.0, PL) == 1.0
         assert laplace_interference(1e-12, 0.01, 8.0, PL) == pytest.approx(1.0, abs=1e-5)
 
-    def test_closed_form_vs_quadrature(self):
+    def test_incomplete_beta_vs_arctan(self):
+        # at eta2 = 4, k_0(theta) = pi/2 - arctan(theta)
         for s in (0.5, 64.0, 4000.0):
             sl = (s * PL.continuity_constant) ** (2 / PL.eta2)
             theta = 64.0 / sl
-            general = np.exp(
-                -np.pi * 0.01 * sl * k_integral(0, theta, 4.0, force_quadrature=True)
-            )
-            assert abs(laplace_interference(s, 0.01, 8.0, PL) - general) < 1e-8
+            closed = np.exp(-np.pi * 0.01 * sl * (np.pi / 2 - np.arctan(theta)))
+            assert abs(laplace_interference(s, 0.01, 8.0, PL) - closed) < 1e-8
 
     def test_decreasing_in_s(self):
         values = [laplace_interference(s, 0.01, 8.0, PL) for s in (1.0, 10.0, 100.0)]

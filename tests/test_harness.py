@@ -1,4 +1,5 @@
 """Harness: config parsing, CSV schema, figure presets, validation suite, CLI."""
+import csv
 import subprocess
 import sys
 
@@ -161,6 +162,22 @@ class TestFigures:
         assert hits[0].analytic == pytest.approx(0.20601, abs=5e-6)
         text = out.read_text()
         assert text.splitlines()[0] == CSV_HEADER
+        # metric labels such as handover_rate[gcho,M=3] hold a comma: quoted,
+        # every row still reads back as the schema's eight fields
+        with open(out, newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert len(parsed) == len(rows) + 1
+        assert all(len(fields) == 8 for fields in parsed)
+        assert "handover_rate[gcho,M=3]" in {fields[2] for fields in parsed}
+
+    def test_bad_override_is_config_error(self, tmp_path):
+        for item, message in (
+            ("bogus=1", "--set:2: unknown key: bogus"),
+            ("speed", "expected key=value"),
+            ("trials=ten", "bad value for trials"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                run_figure("fig7", ["speed=5", item], tmp_path / "fig7.csv")
 
     def test_fig12_gchos_minimum_at_three(self, tmp_path):
         rows = run_figure("fig12", [], tmp_path / "fig12.csv")
@@ -256,6 +273,10 @@ class TestCli:
         cfg = write_config(tmp_path, CONFIG)
         monkeypatch.setenv("UDNGC_SEED", "abc")
         assert main(["analytic", str(cfg)]) == 2
+
+    def test_bad_override_exits_two(self, tmp_path):
+        out = str(tmp_path / "fig7.csv")
+        assert main(["figure", "fig7", "--set", "bogus=1", "--out", out]) == 2
 
     def test_unknown_preset_exits_two(self):
         with pytest.raises(SystemExit) as exc:
