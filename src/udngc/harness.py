@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import importlib.resources
 import io
+import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,7 @@ _LENGTH_FACTOR = 18.0
 _INT_FIELDS = {"m_group", "trials", "seed"}
 _FLOAT_FIELDS = {
     "lambda_bs", "eta1", "eta2", "d_critical", "speed", "tau_db",
-    "t_h", "mu", "t_interval", "s1", "s2", "window_radius", "step",
+    "t_h", "mu", "t_interval", "s1", "s2", "window_radius",
 }
 _ALL_FIELDS = _INT_FIELDS | _FLOAT_FIELDS
 
@@ -60,9 +61,9 @@ class ScenarioParams:
     """Fully resolved scenario: model constants plus simulation controls.
 
     ``s1`` defaults to ``t_h`` (one handoff costs one handover delay) and
-    ``s2`` to ``0.01 * t_interval``; ``window_radius`` and ``step`` default to
-    values derived from density, group size and speed.  ``tau_db`` is stored
-    in dB and converted to linear exactly once via :attr:`tau_linear`.
+    ``s2`` to ``0.01 * t_interval``; ``window_radius`` defaults to a value
+    derived from density and group size.  ``tau_db`` is stored in dB and
+    converted to linear exactly once via :attr:`tau_linear`.
     """
 
     lambda_bs: float
@@ -80,7 +81,6 @@ class ScenarioParams:
     trials: int = 1000
     seed: int = 1
     window_radius: float | None = None
-    step: float | None = None
 
     def __post_init__(self) -> None:
         if self.lambda_bs <= 0:
@@ -106,15 +106,6 @@ class ScenarioParams:
             object.__setattr__(self, "s2", 0.01 * self.t_interval)
         if self.s1 <= 0 or self.s2 <= 0:
             raise ParameterError("s1 and s2 must be > 0")
-        # hard bound: >= 10 steps per expected cell transit; the default runs
-        # twice as fine so that halving it again moves rate estimates < 1%
-        cap = 0.1 / (self.speed * np.sqrt(np.pi * self.lambda_bs))
-        if self.step is None:
-            object.__setattr__(self, "step", 0.5 * cap)
-        elif self.step <= 0:
-            raise ParameterError(f"step must be > 0, got {self.step}")
-        else:
-            object.__setattr__(self, "step", min(self.step, cap))
         if self.window_radius is None:
             auto = _LENGTH_FACTOR * np.sqrt(self.m_group / self.lambda_bs) + self.guard
             object.__setattr__(self, "window_radius", auto)
@@ -122,10 +113,6 @@ class ScenarioParams:
             raise ParameterError(
                 f"window_radius must exceed the guard band {self.guard:.1f} m, "
                 f"got {self.window_radius}"
-            )
-        if self.duration < self.step:
-            raise ParameterError(
-                "window too small: the trajectory would be shorter than one step"
             )
 
     @property
@@ -374,10 +361,16 @@ def _scn(**kwargs) -> ScenarioParams:
     return ScenarioParams(**kwargs)
 
 
-def _timed_rate(scenario, threads, policy="gcho"):
+def _point_seed(seed: int, point: int) -> int:
+    """Base seed of a rate sweep's ``point``-th point: each point gets its
+    own trials, so sampling errors do not repeat along the sweep."""
+    return int(np.random.SeedSequence([seed, point]).generate_state(1)[0])
+
+
+def _timed_rate(scenario, threads, point):
     t0 = time.perf_counter()
     est = simulator.estimate_handover_rate(
-        scenario, scenario.trials, scenario.seed, policy=policy, n_workers=threads
+        scenario, scenario.trials, _point_seed(scenario.seed, point), n_workers=threads
     )
     ms = (time.perf_counter() - t0) * 1e3
     return est, ms
@@ -413,10 +406,11 @@ def _fig3(base: dict, threads: int) -> list[SweepRow]:
 def _fig5(base: dict, threads: int) -> list[SweepRow]:
     lams = np.logspace(-4, -2, 9)
     rows = []
+    points = itertools.count()
     for m in (1, 3, 6, 9):
         for lam in lams:
             scn = _scn(**{**base, "lambda_bs": float(lam), "m_group": m})
-            est, ms = _timed_rate(scn, threads)
+            est, ms = _timed_rate(scn, threads, next(points))
             rows.append(
                 SweepRow(
                     "lambda_bs", float(lam), f"handover_rate[gcho,M={m}]",
@@ -438,10 +432,11 @@ def _fig5(base: dict, threads: int) -> list[SweepRow]:
 def _fig6(base: dict, threads: int) -> list[SweepRow]:
     speeds = np.array([1.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
     rows = []
+    points = itertools.count()
     for m in (1, 3, 6, 9):
         for v in speeds:
             scn = _scn(**{**base, "lambda_bs": base.get("lambda_bs", 0.01), "speed": float(v), "m_group": m})
-            est, ms = _timed_rate(scn, threads)
+            est, ms = _timed_rate(scn, threads, next(points))
             rows.append(
                 SweepRow(
                     "speed", float(v), f"handover_rate[gcho,M={m}]",
@@ -478,10 +473,13 @@ def _fig7(base: dict, threads: int) -> list[SweepRow]:
 def _fig8(base: dict, threads: int) -> list[SweepRow]:
     speeds = np.array([2.0, 10.0, 20.0, 30.0])
     rows = []
+    points = itertools.count()
     for lam in (0.001, 0.01):
         for v in speeds:
             scn = _scn(**{**base, "lambda_bs": lam, "speed": float(v), "m_group": 3})
-            rates = simulator.estimate_all_rates(scn, scn.trials, scn.seed, n_workers=threads)
+            rates = simulator.estimate_all_rates(
+                scn, scn.trials, _point_seed(scn.seed, next(points)), n_workers=threads
+            )
             rows.append(
                 SweepRow(
                     "speed", float(v), f"handover_rate[gcho,lambda={lam:g}]",

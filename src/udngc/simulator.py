@@ -2,32 +2,41 @@
 
 Every trial draws a fresh deployment and a straight constant-speed trajectory
 from the window centre, then counts handovers under four policies on that one
-realisation:
+realisation.  The UE sits at distance t in [0, L] along its line, with
+L = speed * duration.  Every event is an exact crossing on that segment;
+nothing is sampled on a time grid.
 
 ``gcho``
     Group-cell policy.  The serving cluster's footprint is a circular
     interference-protection region; a handover fires whenever the UE crosses
-    the current footprint boundary.  Footprint radii are the m-th (skip
-    phase: (m+1)-th) nearest-station distance sampled at an independent
-    typical location of the same deployment (anchoring the radius at the
-    UE's own position would size-bias the renewal toward dense pockets), and
-    the UE meets each footprint at stationary (cosine-weighted) incidence.
+    the current footprint boundary.  Footprint radii follow the exact law of
+    the m-th (skip phase: (m+1)-th) nearest-station distance of the PPP,
+    r = sqrt(G/(pi*lambda)) with G ~ Gamma(m) (Gamma(m+1)), drawn
+    independently of the UE's position (anchoring the radius there would
+    size-bias the renewal toward dense pockets).  The first footprint is
+    centred at a uniform point of the disk of radius r around the start; the
+    UE meets every later footprint at stationary (cosine-weighted) incidence,
+    so it crosses a chord 2*r*sqrt(1 - s^2), s ~ U(-1, 1).  This policy needs
+    no deployment.
 ``gchos``
     Same footprint process filtered by the skipping rule: at a crossing the
-    nearest station left outside the reformed cluster may be skipped
-    (blacklisted, no handover executed, next footprint one rank deeper) when
-    the alternation flag and the two distance conditions allow it.
+    nearest station left outside the reformed cluster may be skipped (no
+    handover executed, next footprint one rank deeper) when the alternation
+    flag and the two distance conditions allow it.  The distances are those
+    of the deployment at the exact crossing point.
 ``traditional``
     Single-nearest-station association; an event whenever the nearest
-    station changes (step-discretised Voronoi crossing).
+    station changes (an exact Voronoi crossing).
 ``fr``
     Fixed-region baseline: stations inside a disk of radius sqrt(m/(pi*lam))
-    centred on the UE; an event whenever that disk's membership changes.
-    This is a qualitative stand-in, not a published fixed-region model.
+    centred on the UE; every crossing of a station into or out of that disk
+    is one change.  This is a qualitative stand-in, not a published
+    fixed-region model.
 
-Crossing detection is step-discretised; the step is capped at
-0.1/(speed*sqrt(pi*lambda)) so an expected cell transit spans >= 10 steps
-(the default step is half that cap).
+``gchos``, ``traditional`` and ``fr`` look only at the stations near the
+segment (:class:`_Strip`).  Each distance a count relies on is checked
+against the strip's width, which doubles until it covers them all, so every
+count equals the one over the whole deployment.
 Randomness derives only from (base_seed, trial_index), so aggregates do not
 depend on how trials are distributed over workers.
 """
@@ -40,14 +49,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random import Generator, default_rng
-from scipy.spatial import cKDTree
 
 from .analytics import CoverageParams
 from .errors import InsufficientPointsError, ParameterError
 from .geometry import (
     Deployment,
     NeighborList,
-    Trajectory,
     Window,
     guard_radius,
     k_nearest,
@@ -170,128 +177,181 @@ class RateEstimate:
             raise ParameterError("mean and half_width_95 must be non-negative")
 
 
-def _sorted_knn(tree: cKDTree, positions: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    d, idx = tree.query(positions, k=k)
-    if k == 1:
-        d = d[:, None]
-        idx = idx[:, None]
-    return d, idx
+class _Strip:
+    """Stations near the UE's segment, in line-frame coordinates.
+
+    The UE runs from t = 0 to t = ``length`` along the unit vector e; station
+    p sits at a = p.e along the line and b = p.e_perp across it, so its
+    squared distance from the UE is (t - a)^2 + b^2 = t^2 - 2*t*a + q.  The
+    strip keeps the stations with |b| <= ``width`` and
+    -width <= a <= length + width, sorted by a, then q: every station within
+    ``width`` of a point of the segment.  A walk that relies on a distance
+    checks it with :meth:`covers` and calls :meth:`widen` (double the width)
+    when it does not.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, length: float, width: float):
+        self.all_a = a
+        self.all_b = b
+        self.length = length
+        self.width = width
+        self._select()
+
+    def _select(self) -> None:
+        w = self.width
+        keep = np.flatnonzero(
+            (np.abs(self.all_b) <= w) & (self.all_a >= -w) & (self.all_a <= self.length + w)
+        )
+        a = self.all_a[keep]
+        q = a**2 + self.all_b[keep] ** 2
+        order = np.lexsort((q, a))
+        self.ids = keep[order]
+        self.a = a[order]
+        self.b = self.all_b[self.ids]
+        self.q = q[order]
+        self.complete = keep.size == self.all_a.size
+
+    def widen(self) -> None:
+        if self.complete:
+            raise InsufficientPointsError("the deployment holds too few stations")
+        self.width *= 2.0
+        self._select()
+
+    def covers(self, d2: float) -> bool:
+        """Whether every station within squared distance ``d2`` of a point of
+        the segment is in the strip."""
+        return self.complete or d2 <= self.width**2
+
+    def nearest(self, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Deployment indices and distances of the ``k`` stations nearest to
+        the UE at ``t``, distance-ascending."""
+        while True:
+            d2 = (self.a - t) ** 2 + self.b**2
+            if d2.size >= k:
+                part = np.argpartition(d2, k - 1)[:k]
+                part = part[np.argsort(d2[part])]
+                if self.covers(d2[part[-1]]):
+                    return self.ids[part], np.sqrt(d2[part])
+            self.widen()
 
 
-def _typical_radius(
-    rng: Generator, tree: cKDTree, rank: int, window_radius: float, guard: float
-) -> float:
-    """rank-th nearest-station distance at a uniform location of the guarded window."""
-    rho = (window_radius - guard) * np.sqrt(rng.uniform())
-    ang = rng.uniform(0.0, 2.0 * np.pi)
-    anchor = [rho * np.cos(ang), rho * np.sin(ang)]
-    d, _ = tree.query(anchor, k=rank)
-    return float(np.atleast_1d(d)[-1])
+def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the lower convex hull's vertices, left to right, of points
+    sorted by x (ties by y)."""
+    keep = np.arange(x.size)
+    while keep.size > 2:
+        px, py = x[keep], y[keep]
+        # a point on or above the chord of its two neighbours is no vertex
+        above = (py[1:-1] - py[:-2]) * (px[2:] - px[:-2]) >= (py[2:] - py[:-2]) * (
+            px[1:-1] - px[:-2]
+        )
+        if not above.any():
+            break
+        keep = np.delete(keep, 1 + np.flatnonzero(above))
+    return keep
 
 
-def _region_course(
-    rng: Generator,
-    positions: np.ndarray,
-    points: np.ndarray,
-    tree: cKDTree,
-    dists: np.ndarray,
-    ids: np.ndarray,
-    m: int,
-    e: np.ndarray,
-    window_radius: float,
-    guard: float,
-    skipping: bool,
-) -> int:
-    """Walk one protection-region renewal along the trajectory; return the
-    number of executed handovers."""
-    k = ids.shape[1]
-    eperp = np.array([-e[1], e[0]])
-    r = _typical_radius(rng, tree, m, window_radius, guard)
-    members = ids[0, :m].copy()
-    # stationary start: the UE sits at a uniform interior point of its cell
-    rho_frac = np.sqrt(rng.uniform())
-    ang = rng.uniform(0.0, 2.0 * np.pi)
-    c = positions[0] + rho_frac * r * np.array([np.cos(ang), np.sin(ang)])
+def _nearest_changes(strip: _Strip) -> int:
+    """Nearest-station changes for t in (0, length].
+
+    Station i is nearest where q_i - 2*t*a_i is least (q = a^2 + b^2), so the
+    nearest station runs along the lower convex hull of the points (a, q):
+    the hull edge from i to j is a change at t = (q_j - q_i)/(2*(a_j - a_i)).
+    The distance to a fixed station is convex in t, so a nearest distance
+    covered by the strip at both ends and at every breakpoint is covered
+    along the whole segment.
+    """
+    while True:
+        hull = _lower_hull(strip.a, strip.q)
+        a, b, q = strip.a[hull], strip.b[hull], strip.q[hull]
+        da = np.diff(a)
+        # an edge with da = 0 leads to a station never nearer than its left end
+        breaks = np.divide(np.diff(q), 2.0 * da, out=np.full(da.size, np.inf), where=da > 0)
+        inside = (breaks > 0.0) & (breaks <= strip.length)
+        t = np.concatenate([[0.0], breaks[inside], [strip.length]])
+        v = np.searchsorted(breaks, t)  # the hull vertex nearest at t
+        if hull.size and strip.covers(float(np.max((t - a[v]) ** 2 + b[v] ** 2))):
+            return int(np.count_nonzero(inside))
+        strip.widen()
+
+
+def _disk_changes(strip: _Strip, r_f: float) -> int:
+    """Boundary crossings a -+ sqrt(r_f^2 - b^2) of the UE-centred disk of
+    radius ``r_f`` in (0, length]; each one changes the disk's membership.
+    Exact for a strip at least ``r_f`` wide."""
+    near = np.abs(strip.b) < r_f
+    half = np.sqrt(r_f * r_f - strip.b[near] ** 2)
+    crossings = np.concatenate([strip.a[near] - half, strip.a[near] + half])
+    return int(np.count_nonzero((crossings > 0.0) & (crossings <= strip.length)))
+
+
+def _first_exit(rng: Generator, m: int, lam: float) -> float:
+    """Distance to the exit of the first footprint: rank-m radius r, centre c
+    uniform in the disk of radius r around the start; the circle-line root
+    c_par + sqrt(r^2 - c_perp^2)."""
+    r = np.sqrt(rng.gamma(m) / (np.pi * lam))
+    rho = np.sqrt(rng.uniform())
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    return float(r * (rho * np.cos(phi) + np.sqrt(1.0 - (rho * np.sin(phi)) ** 2)))
+
+
+def _footprints(rng: Generator, m: int, lam: float, batch: int):
+    """Batches of later footprints: rank-m radii sqrt(G/(pi*lam)), G ~ Gamma(m);
+    rank-(m+1) radii sqrt((G + E)/(pi*lam)), E ~ Exp(1), for the skip phase;
+    and incidence cosines sqrt(1 - s^2), s ~ U(-1, 1).  A footprint of radius
+    r adds a chord 2*r*cosine to the walk."""
+    while True:
+        g = rng.gamma(m, size=batch)
+        r_m = np.sqrt(g / (np.pi * lam))
+        r_skip = np.sqrt((g + rng.standard_exponential(batch)) / (np.pi * lam))
+        sina = rng.uniform(-1.0, 1.0, size=batch)
+        yield r_m, r_skip, np.sqrt(1.0 - sina * sina)
+
+
+def _footprint_handovers(rng: Generator, m: int, lam: float, length: float, batch: int) -> int:
+    """Footprint exits in (0, length] of the plain group-cell renewal."""
+    t = _first_exit(rng, m, lam)
+    if t > length:
+        return 0
+    exits = 1
+    for r_m, _, cosine in _footprints(rng, m, lam, batch):
+        ends = t + np.cumsum(2.0 * r_m * cosine)
+        inside = int(np.searchsorted(ends, length, side="right"))
+        exits += inside
+        if inside < batch:
+            return exits
+        t = float(ends[-1])
+
+
+def _skipping_handovers(rng: Generator, strip: _Strip, m: int, lam: float, batch: int) -> int:
+    """Executed handovers of the footprint renewal under the skipping rule.
+
+    At each exact crossing the rule compares the outgoing members' farthest
+    distance with the (m+1)-th and (m+2)-th nearest stations; a skip makes the
+    next footprint one rank deeper and forces a handover at the crossing
+    after it.  The skipped station needs no blacklist: it could only matter
+    to a skip decision, and none is taken before the next handover.
+    """
+    t = _first_exit(rng, m, lam)
+    members = strip.nearest(0.0, m)[0]
+    footprints = (
+        chords
+        for r_m, r_skip, cosine in _footprints(rng, m, lam, batch)
+        for chords in zip((2.0 * r_m * cosine).tolist(), (2.0 * r_skip * cosine).tolist())
+    )
     events = 0
     skip_done = False
-    blacklist = -1
-    i = 0
-    nsteps = positions.shape[0]
-    while i + 1 < nsteps:
-        rel = positions[i + 1 :] - c
-        outside = rel[:, 0] ** 2 + rel[:, 1] ** 2 > r * r
-        nz = np.nonzero(outside)[0]
-        if nz.size == 0:
-            break
-        i = i + 1 + int(nz[0])
-        x = positions[i]
-        do_skip = False
-        if skipping:
-            row_ids = ids[i]
-            row_d = dists[i]
-            ranked = [j for j in range(k) if row_ids[j] != blacklist]
-            if len(ranked) >= m + 2 and not skip_done:
-                # nearest interferers after regrouping: ranks m+1 and m+2
-                r1_i = float(row_d[ranked[m]])
-                r2_i = float(row_d[ranked[m + 1]])
-                # instantaneous protection radius of the outgoing members
-                rel_m = points[members] - x
-                r_inst = float(np.sqrt((rel_m**2).sum(axis=1).max()))
-                do_skip = (
-                    gchos_decision(r_inst, r1_i, r2_i, skip_done) is HandoverAction.SKIP
-                )
-        sina = rng.uniform(-1.0, 1.0)
-        w = np.sqrt(1.0 - sina * sina) * e + sina * eperp
-        if do_skip:
-            blacklist = int(row_ids[ranked[m]])
-            keep = [j for j in ranked if row_ids[j] != blacklist][:m]
-            members = row_ids[keep].copy()
-            skip_done = True
-            r = _typical_radius(rng, tree, m + 1, window_radius, guard)
-        else:
-            events += 1
-            members = ids[i, :m].copy()
-            blacklist = -1
-            skip_done = False
-            r = _typical_radius(rng, tree, m, window_radius, guard)
-        c = x + r * w
+    while t <= strip.length:
+        ids, dists = strip.nearest(t, m + 2)
+        rel_a = strip.all_a[members] - t
+        r_inst = float(np.sqrt((rel_a**2 + strip.all_b[members] ** 2).max()))
+        action = gchos_decision(r_inst, dists[m], dists[m + 1], skip_done)
+        skip_done = action is HandoverAction.SKIP
+        events += not skip_done
+        members = ids[:m]
+        chord, skip_chord = next(footprints)
+        t += skip_chord if skip_done else chord
     return events
-
-
-def _disk_membership_changes(
-    pts: np.ndarray,
-    e: np.ndarray,
-    speed: float,
-    r_f: float,
-    step: float,
-    n_steps: int,
-) -> int:
-    """Steps at which the set of stations within r_f of the moving UE changes.
-
-    The UE runs along ``t*speed*e`` from the origin; station p is inside the
-    disk for t in [t_in, t_out] solving |t*speed*e - p| = r_f.  A sampled
-    membership bit flips at step k iff an odd number of its crossings falls
-    in (t_{k-1}, t_k]; one changed step counts as one handover regardless of
-    how many stations moved.
-    """
-    proj = pts @ e
-    disc = proj**2 - ((pts**2).sum(axis=1) - r_f * r_f)
-    crossing = disc > 0.0
-    if not crossing.any():
-        return 0
-    sq = np.sqrt(disc[crossing])
-    t_in = (proj[crossing] - sq) / speed
-    t_out = (proj[crossing] + sq) / speed
-    t_end = n_steps * step
-    k_in = np.ceil(t_in / step).astype(np.int64)
-    k_out = np.ceil(t_out / step).astype(np.int64)
-    valid_in = (t_in > 0.0) & (t_in <= t_end)
-    valid_out = (t_out > 0.0) & (t_out <= t_end)
-    cancelled = valid_in & valid_out & (k_in == k_out)
-    events = np.concatenate(
-        [k_in[valid_in & ~cancelled], k_out[valid_out & ~cancelled]]
-    )
-    return int(np.unique(events).size)
 
 
 def run_handover_trial(scenario: "ScenarioParams", seed) -> TrialResult:
@@ -326,49 +386,23 @@ def run_handover_trial(scenario: "ScenarioParams", seed) -> TrialResult:
             )
         deployment = sample_ppp(lam, window, rng.integers(2**63))
 
-    trajectory = Trajectory(
-        start=(0.0, 0.0),
-        direction=float(rng.uniform(0.0, 2.0 * np.pi)),
-        speed=scenario.speed,
-        duration=duration,
-        step=scenario.step,
-    )
-    e = np.array([np.cos(trajectory.direction), np.sin(trajectory.direction)])
-    positions = trajectory.positions()
-
+    direction = rng.uniform(0.0, 2.0 * np.pi)
+    e = np.array([np.cos(direction), np.sin(direction)])
     pts = deployment.points
-    tree = cKDTree(pts)
-    k = min(m + 3, deployment.size)
-    dists, ids = _sorted_knn(tree, positions, k)
-
-    # traditional: nearest-station (Voronoi) crossings
-    nearest = ids[:, 0]
-    handovers_traditional = int(np.count_nonzero(nearest[1:] != nearest[:-1]))
-
-    # fixed-region disk membership: each station enters/leaves the moving
-    # disk on one time interval (quadratic along the line); changes are
-    # counted at step granularity, so a visit contained between two samples
-    # stays invisible, exactly like comparing per-step membership
     r_f = np.sqrt(m / (np.pi * lam))
-    handovers_fr = _disk_membership_changes(
-        pts, e, scenario.speed, r_f, scenario.step, positions.shape[0] - 1
-    )
+    # twice the typical (m+2)-th nearest distance: at least r_f, as
+    # _disk_changes needs, and wide enough that widening is rare
+    strip = _Strip(pts @ e, pts @ np.array([-e[1], e[0]]), length,
+                   2.0 * np.sqrt((m + 2) / (np.pi * lam)))
+    # about 1.5 footprints per batch of draws for every one the walk needs
+    batch = int(length * np.sqrt(np.pi * lam / m)) + 1
 
     rng_gcho, rng_gchos = rng.spawn(2)
-    handovers_gcho = _region_course(
-        rng_gcho, positions, pts, tree, dists, ids, m, e,
-        scenario.window_radius, guard, skipping=False,
-    )
-    handovers_gchos = _region_course(
-        rng_gchos, positions, pts, tree, dists, ids, m, e,
-        scenario.window_radius, guard, skipping=True,
-    )
-
     return TrialResult(
-        handovers_gcho=handovers_gcho,
-        handovers_gchos=handovers_gchos,
-        handovers_traditional=handovers_traditional,
-        handovers_fr=handovers_fr,
+        handovers_gcho=_footprint_handovers(rng_gcho, m, lam, length, batch),
+        handovers_gchos=_skipping_handovers(rng_gchos, strip, m, lam, batch),
+        handovers_traditional=_nearest_changes(strip),
+        handovers_fr=_disk_changes(strip, r_f),
         duration=float(duration),
         trajectory_length=float(length),
         deployment_resamples=resamples,

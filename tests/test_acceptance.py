@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The simulation-backed
-criteria are the slow part (the coverage grid re-runs a million-trial oracle
-per parameter combination); expect on the order of fifteen minutes total.
+Run with ``pytest tests/test_acceptance.py -v -s``.  The coverage grid is the
+slow part (it re-runs a million-trial oracle per parameter combination);
+expect about five minutes in total on two cores.
 """
 import dataclasses
 import subprocess

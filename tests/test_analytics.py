@@ -301,7 +301,6 @@ class TestToeplitzRecursion:
         tau, lam, big_r = 1.0, 0.01, 8.0
         cp = CoverageParams(tau=tau, lambda_bs=lam, m=4, pathloss=PL)
         state = toeplitz_state(cp, big_r)
-        mp.mp.dps = 40
         lam_c = PL.continuity_constant
 
         def transform(s):
@@ -312,8 +311,12 @@ class TestToeplitzRecursion:
             return mp.e ** (-mp.pi * lam * sl * inner)
 
         s0 = tau * big_r**PL.eta1
-        for n in range(4):
-            oracle = float((-s0) ** n / mp.factorial(n) * mp.diff(transform, s0, n))
+        with mp.workdps(40):
+            oracles = [
+                float((-s0) ** n / mp.factorial(n) * mp.diff(transform, s0, n))
+                for n in range(4)
+            ]
+        for n, oracle in enumerate(oracles):
             assert state.a_values[n] == pytest.approx(oracle, rel=1e-7)
 
     def test_matrix_route_agrees_with_recursion(self):

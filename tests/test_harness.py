@@ -76,11 +76,15 @@ class TestScenarioParams:
         assert scn.tau_linear == pytest.approx(10 ** 0.3)
         assert scn.coverage_params().tau == pytest.approx(10 ** 0.3)
 
-    def test_step_cap_and_default(self):
-        cap = 0.1 / (10.0 * np.sqrt(np.pi * 0.01))
-        assert ScenarioParams(lambda_bs=0.01).step == pytest.approx(cap / 2)
-        assert ScenarioParams(lambda_bs=0.01, step=10.0).step == pytest.approx(cap)
-        assert ScenarioParams(lambda_bs=0.01, step=cap / 3).step == pytest.approx(cap / 3)
+    def test_step_rejected(self, tmp_path):
+        # crossings are exact, so a time step is no longer a setting
+        path = write_config(tmp_path, "lambda_bs=0.01\nstep=0.05\n")
+        with pytest.raises(ConfigError, match="unknown key: step"):
+            parse_config(path)
+        with pytest.raises(ConfigError, match="unknown key: step"):
+            run_figure("fig5", ["step=0.05"], tmp_path / "fig5.csv")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "sim.csv")]) == 2
+        assert main(["figure", "fig5", "--set", "step=0.05", "--out", str(tmp_path / "f.csv")]) == 2
 
     def test_window_default_exceeds_guard(self):
         scn = ScenarioParams(lambda_bs=0.001)
@@ -160,6 +164,10 @@ class TestFigures:
         ]
         assert len(hits) == 1
         assert hits[0].analytic == pytest.approx(0.20601, abs=5e-6)
+        # every point draws its own trials: the engine is scale-free, so one
+        # shared seed would repeat the same relative error at every density
+        errors = {r.simulated / r.analytic for r in rows if r.metric == "handover_rate[gcho,M=3]"}
+        assert len(errors) > 1
         text = out.read_text()
         assert text.splitlines()[0] == CSV_HEADER
         # metric labels such as handover_rate[gcho,M=3] hold a comma: quoted,

@@ -3,14 +3,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import default_rng
+from scipy import stats
+from scipy.spatial import cKDTree
 
-from udngc import analytics
+from udngc import analytics, simulator
 from udngc.analytics import CoverageParams
 from udngc.channel import PathLossParams
 from udngc.errors import ParameterError
-from udngc.geometry import Deployment, NeighborList, Window, k_nearest
+from udngc.geometry import Deployment, NeighborList, Window, k_nearest, kth_distance_cdf
 from udngc.harness import ScenarioParams
 from udngc.simulator import (
+    _disk_changes,
+    _footprints,
+    _nearest_changes,
+    _skipping_handovers,
+    _Strip,
     GroupCellState,
     HandoverAction,
     TrialResult,
@@ -102,6 +112,106 @@ class TestGchosDecision:
 SCN = ScenarioParams(lambda_bs=0.01, speed=10.0, m_group=3)
 
 
+def grid_changes(a, b, length, r_f, step):
+    """Changes seen on a step grid over the whole deployment (line frame):
+    steps whose nearest station differs from the previous step's, and
+    stations whose membership of the radius-r_f disk differs."""
+    t = np.linspace(0.0, length, int(np.ceil(length / step)) + 1)
+    _, nearest = cKDTree(np.column_stack([a, b])).query(np.column_stack([t, 0 * t]))
+    disk = 0
+    for a_i, b_i in zip(a[np.abs(b) < r_f], b[np.abs(b) < r_f]):
+        inside = (t - a_i) ** 2 + b_i**2 < r_f * r_f
+        disk += int(np.count_nonzero(inside[1:] != inside[:-1]))
+    return int(np.count_nonzero(nearest[1:] != nearest[:-1])), disk
+
+
+def brute_nearest_changes(a, b, length):
+    """Nearest-station changes over all stations: the nearest station is
+    constant between consecutive pairwise bisector crossings, so one probe
+    per such interval sees every change."""
+    q = a * a + b * b
+    i, j = np.triu_indices(a.size, 1)
+    cross = (q[j] - q[i]) / (2.0 * (a[j] - a[i]))
+    edges = np.concatenate([[0.0], np.sort(cross[(cross > 0) & (cross < length)]), [length]])
+    probes = 0.5 * (edges[1:] + edges[:-1])
+    nearest = np.argmin((probes[:, None] - a) ** 2 + b**2, axis=1)
+    return int(np.count_nonzero(nearest[1:] != nearest[:-1]))
+
+
+def brute_disk_changes(a, b, length, r_f):
+    """Disk-membership changes over all stations, probed once between
+    consecutive boundary crossings."""
+    near = np.abs(b) < r_f
+    half = np.sqrt(r_f * r_f - b[near] ** 2)
+    roots = np.concatenate([a[near] - half, a[near] + half])
+    edges = np.concatenate([[0.0], np.sort(roots[(roots > 0) & (roots < length)]), [length]])
+    probes = 0.5 * (edges[1:] + edges[:-1])
+    inside = (probes[:, None] - a) ** 2 + b**2 < r_f * r_f
+    return int(np.count_nonzero(inside[1:] != inside[:-1]))
+
+
+def strip_counts(a, b, length, width, r_f):
+    strip = _Strip(np.asarray(a, float), np.asarray(b, float), length, width)
+    return _nearest_changes(strip), _disk_changes(strip, r_f)
+
+
+class TestExactCrossings:
+    def test_two_stations_change_once_at_the_bisector(self):
+        # stations at (0, 1) and (10, -2): their bisector crosses the line at
+        # t = (104 - 1) / 20
+        a, b = [0.0, 10.0], [1.0, -2.0]
+        bisector = (100.0 + 4.0 - 1.0) / 20.0
+        assert strip_counts(a, b, bisector - 1e-9, 30.0, 0.5)[0] == 0
+        assert strip_counts(a, b, bisector + 1e-9, 30.0, 0.5)[0] == 1
+        assert strip_counts(a, b, 100.0, 30.0, 0.5)[0] == 1
+
+    def test_station_inside_disk_reach_changes_twice(self):
+        # offset b = 3 < r_f = 5: the disk takes the station in at t = 10 - 4
+        # and lets it go at t = 10 + 4
+        assert strip_counts([10.0], [3.0], 20.0, 5.0, 5.0)[1] == 2
+        assert strip_counts([10.0], [3.0], 10.0, 5.0, 5.0)[1] == 1
+        assert strip_counts([10.0], [6.0], 20.0, 6.0, 5.0)[1] == 0
+
+    def test_narrow_strip_widens(self):
+        # the far station is nearest over the second half of the segment
+        strip = _Strip(np.array([0.0, 40.0, 5.0]), np.array([0.0, 15.0, 90.0]), 40.0, 1.0)
+        assert _nearest_changes(strip) == 1
+        assert strip.width >= 15.0 and not strip.complete
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 30),
+        length=st.floats(1.0, 80.0),
+        r_f=st.floats(0.5, 8.0),
+        m=st.integers(1, 3),
+    )
+    def test_strip_matches_all_stations(self, seed, n, length, r_f, m):
+        # sparse stations around a short segment: a strip r_f wide often
+        # misses the nearest stations and has to widen
+        rng = default_rng(seed)
+        a = rng.uniform(-40.0, length + 40.0, n)
+        b = rng.uniform(-40.0, 40.0, n)
+        assert strip_counts(a, b, length, r_f, r_f) == (
+            brute_nearest_changes(a, b, length),
+            brute_disk_changes(a, b, length, r_f),
+        )
+        lam = 1.0 / (np.pi * r_f**2)
+        narrow = _skipping_handovers(default_rng(seed), _Strip(a, b, length, r_f), m, lam, 4)
+        full = _skipping_handovers(default_rng(seed), _Strip(a, b, length, np.inf), m, lam, 4)
+        assert narrow == full
+
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    def test_footprint_radii_follow_kth_distance_law(self, m):
+        lam = 0.01
+        draws = _footprints(default_rng(m), m, lam, 4000)
+        r_m, r_skip, cosine = (np.concatenate(x) for x in zip(next(draws), next(draws)))
+        assert stats.kstest(r_m, lambda r: kth_distance_cdf(r, m, lam)).pvalue > 0.01
+        assert stats.kstest(r_skip, lambda r: kth_distance_cdf(r, m + 1, lam)).pvalue > 0.01
+        # cosine of a uniform incidence s: P(sqrt(1 - s^2) <= c) = 1 - sqrt(1 - c^2)
+        assert stats.kstest(cosine, lambda c: 1.0 - np.sqrt(1.0 - c * c)).pvalue > 0.01
+
+
 class TestTrialEngine:
     def test_deterministic_per_seed(self):
         a = run_handover_trial(SCN, [3, 0])
@@ -141,11 +251,27 @@ class TestTrialEngine:
         ratio = small.half_width_95 / large.half_width_95
         assert 3.0 < ratio < 8.0  # expect ~sqrt(25) = 5
 
-    def test_step_halving_converges(self):
-        scn_half = dataclasses.replace(SCN, step=SCN.step / 2)
-        base = estimate_handover_rate(SCN, 400, 17)
-        finer = estimate_handover_rate(scn_half, 400, 17)
-        assert abs(finer.mean / base.mean - 1.0) < 0.01
+    def test_exact_vs_discretised(self, monkeypatch):
+        # a step grid misses changes that fall between two of its points, so
+        # it never counts more than the exact engine and agrees at a fine grid
+        frames = []
+
+        class RecordingStrip(_Strip):
+            def __init__(self, a, b, length, width):
+                super().__init__(a, b, length, width)
+                frames.append((a, b, length))
+
+        monkeypatch.setattr(simulator, "_Strip", RecordingStrip)
+        r_f = np.sqrt(SCN.m_group / (np.pi * SCN.lambda_bs))
+        for index in range(3):
+            res = run_handover_trial(SCN, [17, index])
+            a, b, length = frames[-1]
+            exact = (res.handovers_traditional, res.handovers_fr)
+            counts = [grid_changes(a, b, length, r_f, step) for step in (5.0, 0.5, 0.001)]
+            for grid in counts:
+                assert grid[0] <= exact[0] and grid[1] <= exact[1]
+            assert counts[0] != exact
+            assert counts[-1] == exact
 
     def test_parallel_equals_serial(self):
         serial = simulate_trials(SCN, 24, base_seed=19, n_workers=1)
