@@ -20,7 +20,7 @@ from .analytics import (
     overall_cost,
     signaling_overhead,
 )
-from .channel import PathLossParams, SirSample, path_loss, sir_approx, sir_exact
+from .channel import PathLossParams, path_loss
 from .errors import (
     ConfigError,
     InsufficientPointsError,
@@ -30,27 +30,20 @@ from .errors import (
 )
 from .geometry import (
     Deployment,
-    NeighborList,
-    Trajectory,
     Window,
     edge_distance_pdf,
     guard_radius,
-    k_nearest,
     kth_distance_pdf,
     sample_ppp,
-    sample_trajectory,
 )
 from .harness import ScenarioParams, SweepRow, parse_config, run_figure, validate
 from .simulator import (
-    GroupCellState,
     HandoverAction,
     RateEstimate,
     TrialResult,
     coverage_oracle_geometric,
     coverage_oracle_model,
     estimate_all_rates,
-    estimate_handover_rate,
-    gcho_step,
     gchos_decision,
     run_handover_trial,
     simulate_trials,

@@ -29,8 +29,6 @@ __all__ = [
     "CostParams",
     "CoverageParams",
     "ToeplitzState",
-    "length_intensity",
-    "area_intensity",
     "handover_rate_radius",
     "handover_rate_gcho",
     "handover_rate_gchos",
@@ -47,34 +45,9 @@ __all__ = [
     "coverage_probability",
 ]
 
-#: incremented whenever a coverage value needed clamping into [0, 1]
-clamp_count = 0
-
-
 # ---------------------------------------------------------------------------
 # handover rate family and costs
 # ---------------------------------------------------------------------------
-
-def length_intensity(r_m: float) -> float:
-    """Boundary length per unit area of the cluster footprint, 1/r_m."""
-    if r_m <= 0:
-        raise ParameterError(f"r_m must be positive, got {r_m}")
-    return 1.0 / r_m
-
-
-def area_intensity(r_m: float, delta: float) -> float:
-    """Leading-order area fraction 2*delta/r_m of a boundary strip of
-    half-width delta (the O(delta^2) term is dropped)."""
-    if r_m <= 0:
-        raise ParameterError(f"r_m must be positive, got {r_m}")
-    if delta < 0:
-        raise ParameterError(f"delta must be non-negative, got {delta}")
-    if delta >= r_m:
-        raise ParameterError(
-            f"delta={delta} is out of the thin-strip regime (must be << r_m={r_m})"
-        )
-    return 2.0 * delta / r_m
-
 
 def handover_rate_radius(speed: float, r_m: float) -> float:
     """Handover rate 2*speed/(pi*r_m) for a cluster footprint of radius r_m."""
@@ -271,10 +244,6 @@ class CoverageParams:
     m: int
     pathloss: PathLossParams = field(default_factory=PathLossParams)
     quad_tol: float = 1e-8
-    #: evaluate the variant with the edge-distance exponent sign flipped in
-    #: the Laplace argument (s = tau * R^-eta1 instead of tau * R^eta1);
-    #: comparison mode only, the default follows the conditional edge SIR.
-    alt_exponent_sign: bool = False
 
     def __post_init__(self) -> None:
         if self.tau <= 0:
@@ -312,15 +281,6 @@ class ToeplitzState:
         return float(np.sum(self.a_values))
 
 
-def _laplace_scale(params: CoverageParams, big_r: float) -> tuple[float, float, float]:
-    """(b0, theta, s) for the recursion at edge distance ``big_r``."""
-    exponent = -params.pathloss.eta1 if params.alt_exponent_sign else params.pathloss.eta1
-    s = params.tau * big_r**exponent
-    sl = (s * params.pathloss.continuity_constant) ** (2.0 / params.pathloss.eta2)
-    theta = big_r**2 / sl
-    return np.pi * params.lambda_bs * sl, theta, s
-
-
 def toeplitz_state(params: CoverageParams, big_r: float) -> ToeplitzState:
     """Evaluate a_0..a_{m-1} at edge distance ``big_r`` by direct recursion.
 
@@ -334,7 +294,10 @@ def toeplitz_state(params: CoverageParams, big_r: float) -> ToeplitzState:
     """
     if big_r <= 0:
         raise ParameterError(f"big_r must be positive, got {big_r}")
-    b0, theta, _ = _laplace_scale(params, big_r)
+    s = params.tau * big_r**params.pathloss.eta1
+    sl = (s * params.pathloss.continuity_constant) ** (2.0 / params.pathloss.eta2)
+    theta = big_r**2 / sl
+    b0 = np.pi * params.lambda_bs * sl
     k = k_integral(np.arange(params.m), theta, params.pathloss.eta2)
     a = np.empty(params.m)
     a[0] = np.exp(-b0 * k[0])
@@ -381,10 +344,9 @@ def coverage_probability(params: CoverageParams) -> float:
     For m >= 2 the outer weight is the fixed edge law
     :func:`udngc.geometry.edge_distance_pdf`; m = 1 is a separate documented
     mode using the nearest-distance law.  The result is clamped to [0, 1]
-    only after the quadrature has converged, with a counted warning if the
-    excursion exceeds float noise.
+    only after the quadrature has converged, with a warning if the excursion
+    exceeds float noise.
     """
-    global clamp_count
     density = _edge_density(params)
 
     def integrand(big_r: float) -> float:
@@ -402,10 +364,6 @@ def coverage_probability(params: CoverageParams) -> float:
     value = out[0]
     if not 0.0 <= value <= 1.0:
         if value < -1e-12 or value > 1.0 + 1e-12:
-            clamp_count += 1
-            warnings.warn(
-                f"coverage {value!r} clamped into [0, 1] (clamp #{clamp_count})",
-                stacklevel=2,
-            )
+            warnings.warn(f"coverage {value!r} clamped into [0, 1]", stacklevel=2)
         value = min(1.0, max(0.0, value))
     return float(value)

@@ -1,22 +1,22 @@
-"""Dual-slope path loss, Rayleigh fading, and SIR under cooperative service.
+"""Dual-slope path loss and the SIR of a cooperatively served UE.
 
 The channel gain falls as r^-eta1 up to the critical distance (near field,
 line-of-sight regime) and as Lambda * r^-eta2 beyond it, with Lambda chosen
 so the two branches join continuously.  The m nearest base stations transmit
 the useful signal; every other station interferes through the far branch.
-Noise is neglected (interference-limited regime).
+Noise is neglected (interference-limited regime).  :func:`cooperative_sir`
+is the one SIR evaluator; it serves
+:func:`udngc.simulator.coverage_oracle_geometric`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import InsufficientPointsError, ParameterError
-from .geometry import Deployment, k_nearest
 
-__all__ = ["PathLossParams", "SirSample", "path_loss", "sir_exact", "sir_approx"]
+__all__ = ["PathLossParams", "path_loss", "cooperative_sir"]
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,6 @@ class PathLossParams:
         """Lambda = d_critical^(eta2 - eta1), joins the two branches at d_critical."""
         return self.d_critical ** (self.eta2 - self.eta1)
 
-    @property
-    def cooperation_threshold(self) -> float:
-        """Path-loss value at the critical distance.
-
-        Recorded for documentation only: a gain-threshold membership rule with
-        this value is equivalent to near-branch distance <= d_critical.  Group
-        membership itself is decided by the m-nearest rule throughout.
-        """
-        return self.d_critical ** (-self.eta1)
-
 
 def path_loss(r, params: PathLossParams):
     """Dual-slope gain: r^-eta1 for r <= d_critical, else Lambda * r^-eta2.
@@ -69,88 +59,26 @@ def path_loss(r, params: PathLossParams):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SirSample:
-    """One SIR draw: linear signal and interference powers (transmit power
-    normalised to one)."""
+def cooperative_sir(r, h, m: int, params: PathLossParams) -> tuple[float, float]:
+    """Signal and interference powers of a UE served by its m nearest stations.
 
-    signal: float
-    interference: float
-    sir: float
-
-    def __post_init__(self) -> None:
-        if self.signal < 0:
-            raise ParameterError("signal must be non-negative")
-        if self.interference <= 0:
-            raise ParameterError("interference must be positive")
-
-
-def _fading_gains(n: int, fading_seed: int | None) -> np.ndarray:
-    """Unit-mean exponential gains indexed by BS id.
-
-    Drawing the whole block from one seeded generator ties gain g to station
-    g, so results do not depend on evaluation order.  ``None`` forces all
-    gains to one (deterministic geometry checks).
+    ``r`` holds the UE's distances to every station and ``h`` the stations'
+    fading gains, in the same order.  The m nearest stations carry signal,
+    each on its own branch of :func:`path_loss`; every other station
+    interferes on the far branch Lambda * r^-eta2, whatever its distance.
+    Transmit power is normalised to one.
     """
-    if fading_seed is None:
-        return np.ones(n)
-    return default_rng(fading_seed).exponential(size=n)
-
-
-def _sir(
-    deployment: Deployment,
-    ue: np.ndarray,
-    m: int,
-    params: PathLossParams,
-    fading_seed: int | None,
-    coop_all_near: bool,
-) -> SirSample:
-    if deployment.size <= m:
+    r = np.asarray(r, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if r.size <= m:
         raise InsufficientPointsError(
-            f"need more than m={m} stations for interference, got {deployment.size}"
+            f"need more than m={m} stations for interference, got {r.size}"
         )
-    order = k_nearest(deployment, ue, deployment.size)
-    d = order.distances
-    if d[0] <= 0:
-        raise ParameterError("a base station coincides with the UE; SIR is singular")
-    h = _fading_gains(deployment.size, fading_seed)[order.indices]
-    if coop_all_near:
-        coop_gain = d[:m] ** -params.eta1
-    else:
-        coop_gain = path_loss(d[:m], params)
-    signal = float(np.sum(coop_gain * h[:m]))
+    part = np.argpartition(r, m - 1)
+    coop = part[:m]
+    rest = part[m:]
+    signal = float(np.sum(path_loss(r[coop], params) * h[coop]))
     interference = float(
-        np.sum(params.continuity_constant * d[m:] ** -params.eta2 * h[m:])
+        np.sum(params.continuity_constant * r[rest] ** -params.eta2 * h[rest])
     )
-    return SirSample(signal=signal, interference=interference, sir=signal / interference)
-
-
-def sir_exact(
-    deployment: Deployment,
-    ue,
-    m: int,
-    params: PathLossParams,
-    fading_seed: int | None = None,
-) -> SirSample:
-    """SIR with each cooperator on its own branch of the dual-slope model.
-
-    The m nearest stations contribute signal (near or far branch according to
-    their distance); all remaining stations interfere through the far branch.
-    """
-    return _sir(deployment, np.asarray(ue, dtype=float), m, params, fading_seed, False)
-
-
-def sir_approx(
-    deployment: Deployment,
-    ue,
-    m: int,
-    params: PathLossParams,
-    fading_seed: int | None = None,
-) -> SirSample:
-    """SIR with every cooperator forced onto the near branch r^-eta1.
-
-    Tractability approximation behind the closed-form coverage expression:
-    cooperating links are treated as line-of-sight regardless of distance,
-    interfering links stay on the far branch.
-    """
-    return _sir(deployment, np.asarray(ue, dtype=float), m, params, fading_seed, True)
+    return signal, interference

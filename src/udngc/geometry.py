@@ -1,4 +1,4 @@
-"""Spatial primitives: PPP deployments, ordered neighbour queries, distance laws.
+"""Spatial primitives: PPP deployments and distance laws.
 
 Base stations are modelled as a homogeneous Poisson point process (PPP)
 sampled inside a finite circular window.  The window stands in for the
@@ -13,20 +13,16 @@ import numpy as np
 from numpy.random import default_rng
 from scipy.special import gammainc, gammaln
 
-from .errors import InsufficientPointsError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "Window",
     "Deployment",
-    "NeighborList",
-    "Trajectory",
     "guard_radius",
     "sample_ppp",
-    "k_nearest",
     "kth_distance_pdf",
     "kth_distance_cdf",
     "edge_distance_pdf",
-    "sample_trajectory",
 ]
 
 
@@ -86,29 +82,6 @@ class Deployment:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class NeighborList:
-    """Base stations ordered by ascending distance, ties broken by BS id."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64).copy()
-        dist = np.asarray(self.distances, dtype=float).copy()
-        if idx.shape != dist.shape or idx.ndim != 1:
-            raise ParameterError("indices and distances must be 1-D and equally long")
-        if dist.size > 1 and np.any(np.diff(dist) < 0):
-            raise ParameterError("neighbor distances must be non-decreasing")
-        idx.setflags(write=False)
-        dist.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "distances", dist)
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-
 def sample_ppp(density: float, window: Window, seed: int) -> Deployment:
     """Sample a homogeneous PPP of the given density inside ``window``.
 
@@ -126,27 +99,6 @@ def sample_ppp(density: float, window: Window, seed: int) -> Deployment:
         window.center[1] + r * np.sin(phi),
     ])
     return Deployment(points=pts, density=density, window=window, seed=seed)
-
-
-def k_nearest(deployment: Deployment, query: np.ndarray, k: int) -> NeighborList:
-    """The ``k`` nearest base stations to ``query``, distance-ascending.
-
-    Exact ties are broken by BS id so that downstream handover detection is
-    deterministic (a zero-probability event under the PPP, but it matters for
-    hand-constructed deployments).
-    """
-    if k < 0:
-        raise ParameterError(f"k must be non-negative, got {k}")
-    if k > deployment.size:
-        raise InsufficientPointsError(
-            f"requested k={k} neighbors from a deployment of {deployment.size} points"
-        )
-    if k == 0:
-        return NeighborList(np.empty(0, dtype=np.int64), np.empty(0))
-    q = np.asarray(query, dtype=float).reshape(2)
-    d = np.hypot(deployment.points[:, 0] - q[0], deployment.points[:, 1] - q[1])
-    order = np.lexsort((np.arange(deployment.size), d))[:k]
-    return NeighborList(order, d[order])
 
 
 def kth_distance_pdf(r, m: int, density: float):
@@ -199,58 +151,3 @@ def edge_distance_pdf(r, density: float):
         raise ParameterError("r must be non-negative")
     out = 2.0 * (np.pi * density) ** 2 * r_arr**3 * np.exp(-np.pi * density * r_arr**2)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A single straight constant-speed segment."""
-
-    start: tuple[float, float]
-    direction: float
-    speed: float
-    duration: float
-    step: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.direction < 2.0 * np.pi:
-            raise ParameterError(f"direction must lie in [0, 2pi), got {self.direction}")
-        if self.speed <= 0:
-            raise ParameterError(f"speed must be positive, got {self.speed}")
-        if self.step <= 0:
-            raise ParameterError(f"step must be positive, got {self.step}")
-        if self.step > self.duration:
-            raise ParameterError(
-                f"step ({self.step}) must not exceed duration ({self.duration})"
-            )
-
-    @property
-    def length(self) -> float:
-        return self.speed * self.duration
-
-    def times(self) -> np.ndarray:
-        n = int(np.floor(self.duration / self.step + 1e-9))
-        return np.arange(n + 1) * self.step
-
-    def positions(self) -> np.ndarray:
-        t = self.times()
-        e = np.array([np.cos(self.direction), np.sin(self.direction)])
-        return np.asarray(self.start, dtype=float)[None, :] + (self.speed * t)[:, None] * e[None, :]
-
-
-def sample_trajectory(
-    start: tuple[float, float],
-    speed: float,
-    duration: float,
-    step: float,
-    seed: int,
-) -> Trajectory:
-    """Trajectory with direction drawn uniformly on [0, 2pi); deterministic per seed."""
-    rng = default_rng(seed)
-    direction = rng.uniform(0.0, 2.0 * np.pi)
-    return Trajectory(
-        start=(float(start[0]), float(start[1])),
-        direction=float(direction),
-        speed=float(speed),
-        duration=float(duration),
-        step=float(step),
-    )

@@ -121,7 +121,7 @@ class ScenarioParams:
 
     @property
     def duration(self) -> float:
-        """Trajectory time: the UE runs from the centre to the guard ring."""
+        """Travel time: the UE runs from the centre to the guard ring."""
         return (self.window_radius - self.guard) / self.speed
 
     @property
@@ -131,13 +131,12 @@ class ScenarioParams:
     def pathloss(self) -> PathLossParams:
         return PathLossParams(eta1=self.eta1, eta2=self.eta2, d_critical=self.d_critical)
 
-    def coverage_params(self, quad_tol: float = 1e-8) -> CoverageParams:
+    def coverage_params(self) -> CoverageParams:
         return CoverageParams(
             tau=self.tau_linear,
             lambda_bs=self.lambda_bs,
             m=self.m_group,
             pathloss=self.pathloss(),
-            quad_tol=quad_tol,
         )
 
     def cost_params(self) -> CostParams:
@@ -357,9 +356,6 @@ def simulate_rows(scenario: ScenarioParams, threads: int = 1) -> list[SweepRow]:
 
 _COVERAGE_TRIALS = 100_000
 
-def _scn(**kwargs) -> ScenarioParams:
-    return ScenarioParams(**kwargs)
-
 
 def _point_seed(seed: int, point: int) -> int:
     """Base seed of a rate sweep's ``point``-th point: each point gets its
@@ -369,9 +365,9 @@ def _point_seed(seed: int, point: int) -> int:
 
 def _timed_rate(scenario, threads, point):
     t0 = time.perf_counter()
-    est = simulator.estimate_handover_rate(
+    est = simulator.estimate_all_rates(
         scenario, scenario.trials, _point_seed(scenario.seed, point), n_workers=threads
-    )
+    )["gcho"]
     ms = (time.perf_counter() - t0) * 1e3
     return est, ms
 
@@ -381,7 +377,7 @@ def _fig3(base: dict, threads: int) -> list[SweepRow]:
     rows = []
     for lam in (0.001, 0.01):
         for d in (10.0, 20.0):
-            scn = _scn(**{**base, "lambda_bs": lam, "d_critical": d, "m_group": 3})
+            scn = ScenarioParams(**{**base, "lambda_bs": lam, "d_critical": d, "m_group": 3})
             params = scn.coverage_params()
             t0 = time.perf_counter()
             sims = simulator.coverage_oracle_model(
@@ -409,7 +405,7 @@ def _fig5(base: dict, threads: int) -> list[SweepRow]:
     points = itertools.count()
     for m in (1, 3, 6, 9):
         for lam in lams:
-            scn = _scn(**{**base, "lambda_bs": float(lam), "m_group": m})
+            scn = ScenarioParams(**{**base, "lambda_bs": float(lam), "m_group": m})
             est, ms = _timed_rate(scn, threads, next(points))
             rows.append(
                 SweepRow(
@@ -435,7 +431,7 @@ def _fig6(base: dict, threads: int) -> list[SweepRow]:
     points = itertools.count()
     for m in (1, 3, 6, 9):
         for v in speeds:
-            scn = _scn(**{**base, "lambda_bs": base.get("lambda_bs", 0.01), "speed": float(v), "m_group": m})
+            scn = ScenarioParams(**{**base, "lambda_bs": base.get("lambda_bs", 0.01), "speed": float(v), "m_group": m})
             est, ms = _timed_rate(scn, threads, next(points))
             rows.append(
                 SweepRow(
@@ -449,7 +445,7 @@ def _fig6(base: dict, threads: int) -> list[SweepRow]:
 
 
 def _fig7(base: dict, threads: int) -> list[SweepRow]:
-    scn = _scn(**{**base, "lambda_bs": base.get("lambda_bs", 0.01)})
+    scn = ScenarioParams(**{**base, "lambda_bs": base.get("lambda_bs", 0.01)})
     rows = []
     for m in range(1, 13):
         rate = analytics.handover_rate_gcho(scn.speed, scn.lambda_bs, m)
@@ -476,7 +472,7 @@ def _fig8(base: dict, threads: int) -> list[SweepRow]:
     points = itertools.count()
     for lam in (0.001, 0.01):
         for v in speeds:
-            scn = _scn(**{**base, "lambda_bs": lam, "speed": float(v), "m_group": 3})
+            scn = ScenarioParams(**{**base, "lambda_bs": lam, "speed": float(v), "m_group": 3})
             rates = simulator.estimate_all_rates(
                 scn, scn.trials, _point_seed(scn.seed, next(points)), n_workers=threads
             )
@@ -500,7 +496,7 @@ def _fig8(base: dict, threads: int) -> list[SweepRow]:
 
 def _fig9(base: dict, threads: int) -> list[SweepRow]:
     taus = np.linspace(-10.0, 20.0, 13)
-    scn = _scn(**{**base, "lambda_bs": base.get("lambda_bs", 0.01), "m_group": 3})
+    scn = ScenarioParams(**{**base, "lambda_bs": base.get("lambda_bs", 0.01), "m_group": 3})
     d_cost = analytics.handover_cost(
         scn.t_h, analytics.handover_rate_gcho(scn.speed, scn.lambda_bs, 3)
     )
@@ -534,7 +530,7 @@ def _fig10(base: dict, threads: int) -> list[SweepRow]:
     lams = np.array([0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05])
     rows = []
     for lam in lams:
-        scn = _scn(**{**base, "lambda_bs": float(lam), "m_group": 3, "tau_db": base.get("tau_db", 0.0)})
+        scn = ScenarioParams(**{**base, "lambda_bs": float(lam), "m_group": 3, "tau_db": base.get("tau_db", 0.0)})
         p = analytics.coverage_probability(scn.coverage_params())
         d_cost = analytics.handover_cost(
             scn.t_h, analytics.handover_rate_gcho(scn.speed, lam, 3)
@@ -558,7 +554,7 @@ def _fig10(base: dict, threads: int) -> list[SweepRow]:
 def _fig11(base: dict, threads: int) -> list[SweepRow]:
     speeds = np.arange(1.0, 31.0, 2.0)
     lam = base.get("lambda_bs", 0.01)
-    scn = _scn(**{**base, "lambda_bs": lam, "m_group": 3})
+    scn = ScenarioParams(**{**base, "lambda_bs": lam, "m_group": 3})
     rows = []
     for v in speeds:
         c_g = analytics.handover_cost(scn.t_h, analytics.handover_rate_gcho(v, lam, 3))
@@ -572,7 +568,7 @@ def _fig11(base: dict, threads: int) -> list[SweepRow]:
 def _fig12(base: dict, threads: int) -> list[SweepRow]:
     rows = []
     for lam in (0.001, 0.005, 0.01):
-        scn = _scn(**{**base, "lambda_bs": lam})
+        scn = ScenarioParams(**{**base, "lambda_bs": lam})
         costs = scn.cost_params()
         for m in range(1, 13):
             for scheme in ("gcho", "gchos"):
@@ -590,7 +586,7 @@ def _fig13(base: dict, threads: int) -> list[SweepRow]:
     rows = []
     for v in (5.0, 10.0, 20.0):
         for lam in lams:
-            scn = _scn(**{**base, "lambda_bs": float(lam), "speed": v})
+            scn = ScenarioParams(**{**base, "lambda_bs": float(lam), "speed": v})
             costs = scn.cost_params()
             for scheme in ("gcho", "gchos"):
                 m_star, m_int = analytics.optimal_cluster_size(scheme, costs, v, float(lam))

@@ -51,30 +51,21 @@ import numpy as np
 from numpy.random import Generator, default_rng
 
 from .analytics import CoverageParams
+from .channel import cooperative_sir
 from .errors import InsufficientPointsError, ParameterError
-from .geometry import (
-    Deployment,
-    NeighborList,
-    Window,
-    guard_radius,
-    k_nearest,
-    sample_ppp,
-)
+from .geometry import Window, guard_radius, sample_ppp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from .harness import ScenarioParams
 
 __all__ = [
     "POLICIES",
-    "GroupCellState",
     "HandoverAction",
     "TrialResult",
     "RateEstimate",
-    "gcho_step",
     "gchos_decision",
     "run_handover_trial",
     "simulate_trials",
-    "estimate_handover_rate",
     "estimate_all_rates",
     "coverage_oracle_model",
     "coverage_oracle_geometric",
@@ -86,42 +77,9 @@ POLICIES = ("gcho", "gchos", "traditional", "fr")
 _MAX_RESAMPLES = 100
 
 
-@dataclass(frozen=True)
-class GroupCellState:
-    """Serving cluster snapshot: ordered members, protection radius, skip flag."""
-
-    members: NeighborList
-    r_m: float
-    skip_done: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.members) == 0:
-            raise ParameterError("a group cell needs at least one member")
-        if not np.isclose(self.r_m, self.members.distances[-1]):
-            raise ParameterError("r_m must equal the largest member distance")
-
-
 class HandoverAction(Enum):
     SKIP = "skip"
     HANDOVER = "handover"
-
-
-def gcho_step(
-    state: GroupCellState, deployment: Deployment, ue_position
-) -> tuple[GroupCellState, bool]:
-    """Re-associate at ``ue_position``: handover iff the m-nearest set changed.
-
-    Order changes alone do not count.  On handover the new m-nearest set
-    becomes the members and the protection radius is refreshed.
-    """
-    m = len(state.members)
-    nl = k_nearest(deployment, ue_position, m)
-    if np.array_equal(np.sort(nl.indices), np.sort(state.members.indices)):
-        return state, False
-    new_state = GroupCellState(
-        members=nl, r_m=float(nl.distances[-1]), skip_done=state.skip_done
-    )
-    return new_state, True
 
 
 def gchos_decision(
@@ -464,17 +422,6 @@ def _rate_from_counts(counts: np.ndarray, duration: float, trials: int) -> RateE
     return RateEstimate(mean=mean, half_width_95=half, trials=trials)
 
 
-def estimate_handover_rate(
-    scenario: "ScenarioParams",
-    trials: int,
-    base_seed: int,
-    policy: str = "gcho",
-    n_workers: int = 1,
-) -> RateEstimate:
-    """Empirical handover rate (total events over total time) for one policy."""
-    return estimate_all_rates(scenario, trials, base_seed, n_workers)[policy]
-
-
 def estimate_all_rates(
     scenario: "ScenarioParams",
     trials: int,
@@ -498,13 +445,15 @@ def estimate_all_rates(
 #: fluctuation budget of the truncated interference tail (see coverage_oracle_model)
 _TAIL_ERROR_BUDGET = 1e-4
 
+#: trials per vectorised batch of coverage_oracle_model
+_ORACLE_BATCH = 20_000
+
 
 def coverage_oracle_model(
     params: CoverageParams,
     trials: int,
     seed: int,
     taus=None,
-    batch_size: int = 20_000,
 ):
     """Brute-force oracle for :func:`udngc.analytics.coverage_probability`.
 
@@ -539,7 +488,7 @@ def coverage_oracle_model(
     hits = np.zeros(grid.size, dtype=np.int64)
     done = 0
     while done < trials:
-        n = min(batch_size, trials - done)
+        n = min(_ORACLE_BATCH, trials - done)
         y = rng.gamma(shape_r, size=n)
         big_r2 = y / (np.pi * lam)
         big_r = np.sqrt(big_r2)
@@ -566,9 +515,11 @@ def coverage_oracle_model(
 def coverage_oracle_geometric(scenario: "ScenarioParams", trials: int, seed: int) -> float:
     """Empirical coverage under the exact per-link dual-slope SIR.
 
-    The UE sits at the window centre of a fresh deployment each trial; the m
-    nearest stations carry signal on their own branch, the rest interfere on
-    the far branch.  Quantifies the gap left by the all-near-branch
+    The UE sits at the window centre of a fresh deployment each trial, and
+    :func:`udngc.channel.cooperative_sir` splits its stations into the m
+    nearest (signal, each on its own branch) and the rest (interference on
+    the far branch); the far-branch mean beyond the window is added to the
+    interference.  Quantifies the gap left by the all-near-branch
     approximation; reported as a finding, not gated.
     """
     if trials < 1:
@@ -590,19 +541,7 @@ def coverage_oracle_geometric(scenario: "ScenarioParams", trials: int, seed: int
             n = rng.poisson(lam * area)
         r = r_w * np.sqrt(rng.uniform(size=n))
         h = rng.exponential(size=n)
-        part = np.argpartition(r, m - 1)
-        coop = part[:m]
-        rest = part[m:]
-        near = r[coop] <= pl.d_critical
-        gain = np.where(
-            near,
-            r[coop] ** -pl.eta1,
-            pl.continuity_constant * r[coop] ** -pl.eta2,
-        )
-        signal = float(np.sum(gain * h[coop]))
-        interference = float(
-            np.sum(pl.continuity_constant * r[rest] ** -pl.eta2 * h[rest])
-        ) + tail_mean
-        if signal > tau * interference:
+        signal, interference = cooperative_sir(r, h, m, pl)
+        if signal > tau * (interference + tail_mean):
             hits += 1
     return hits / trials

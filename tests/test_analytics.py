@@ -1,6 +1,4 @@
 """Closed forms: rate family, costs, k integrals, recursion, coverage probability."""
-import dataclasses
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from udngc import analytics
 from udngc.analytics import (
     CostParams,
     CoverageParams,
-    area_intensity,
     ase_cost,
     cost_aware_coverage,
     coverage_probability,
@@ -22,7 +19,6 @@ from udngc.analytics import (
     handover_rate_radius,
     k_integral,
     laplace_interference,
-    length_intensity,
     optimal_cluster_size,
     overall_cost,
     signaling_overhead,
@@ -39,28 +35,6 @@ PL = PathLossParams(eta1=2.0, eta2=4.0, d_critical=10.0)
 ORACLE_COVERAGE_TAU0 = 0.507724
 
 DEFAULT_COSTS = CostParams(t_h=0.3, s1=0.3, s2=0.01 * 5e-3, mu=1.0, t_interval=5e-3)
-
-
-class TestIntensities:
-    def test_length_intensity(self):
-        assert length_intensity(2.0) == pytest.approx(0.5)
-        assert length_intensity(1e12) == pytest.approx(0.0, abs=1e-11)
-        with pytest.raises(ParameterError):
-            length_intensity(0.0)
-
-    def test_area_intensity_values(self):
-        assert area_intensity(10.0, 0.01) == pytest.approx(0.002)
-        assert area_intensity(10.0, 0.005) == pytest.approx(0.001)
-        assert area_intensity(10.0, 0.0) == 0.0
-        with pytest.raises(ParameterError):
-            area_intensity(10.0, 10.0)
-
-    def test_limit_consistency(self):
-        # area intensity over 2*delta recovers the length intensity
-        r_m, delta = 7.3, 1e-6
-        assert area_intensity(r_m, delta) / (2 * delta) == pytest.approx(
-            length_intensity(r_m)
-        )
 
 
 class TestRateFamily:
@@ -380,11 +354,6 @@ class TestCoverage:
             cp = CoverageParams(tau=tau, lambda_bs=0.01, m=1, pathloss=pl)
             rho = np.sqrt(tau) * (np.pi / 2 - np.arctan(1 / np.sqrt(tau)))
             assert coverage_probability(cp) == pytest.approx(1 / (1 + rho), abs=1e-6)
-
-    def test_alt_exponent_variant_differs(self):
-        cp = CoverageParams(tau=1.0, lambda_bs=0.01, m=3, pathloss=PL)
-        alt = dataclasses.replace(cp, alt_exponent_sign=True)
-        assert coverage_probability(alt) != pytest.approx(coverage_probability(cp), abs=1e-3)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):

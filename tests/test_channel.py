@@ -1,22 +1,17 @@
-"""Channel: dual-slope path loss and cooperative SIR."""
+"""Channel: dual-slope path loss and the cooperative SIR evaluator."""
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from udngc.channel import PathLossParams, SirSample, path_loss, sir_approx, sir_exact
+from udngc.channel import PathLossParams, cooperative_sir, path_loss
 from udngc.errors import InsufficientPointsError, ParameterError
-from udngc.geometry import Deployment, Window
 
 PL = PathLossParams(eta1=2.0, eta2=4.0, d_critical=10.0)
 
 
-def deployment_at(points, radius=1000.0):
-    return Deployment(
-        points=np.asarray(points, dtype=float),
-        density=0.001,
-        window=Window(center=(0.0, 0.0), radius=radius),
-        seed=0,
-    )
+def distances(points):
+    """Distances from a UE at the origin to stations at ``points``."""
+    return np.hypot(*np.asarray(points, dtype=float).T)
 
 
 class TestPathLoss:
@@ -51,111 +46,63 @@ class TestPathLoss:
         with pytest.raises(ParameterError):
             PathLossParams(eta1=5.0, eta2=4.0, d_critical=10.0)
 
-    def test_cooperation_threshold_is_gain_at_critical_distance(self):
-        assert PL.cooperation_threshold == pytest.approx(path_loss(PL.d_critical, PL))
-
 
 class TestSirExact:
+    """cooperative_sir: each cooperator on its own branch, the rest far."""
+
     def test_server_and_interferer_at_critical_distance(self):
         # at r = d_critical both branches coincide, so an equidistant
         # server/interferer pair gives SIR = 1 exactly
         d = PL.d_critical
-        dep = deployment_at([(d, 0.0), (-d, 0.0)])
-        sample = sir_exact(dep, (0.0, 0.0), 1, PL, fading_seed=None)
-        assert sample.sir == pytest.approx(1.0)
+        signal, interference = cooperative_sir([d, d], np.ones(2), 1, PL)
+        assert signal / interference == pytest.approx(1.0)
 
     def test_equidistant_pair_inside_critical_distance(self):
         # nearer than d_critical the interferer still uses the far branch,
         # so the symmetric SIR is (d / d_critical)^(eta2 - eta1)
         d = 5.0
-        dep = deployment_at([(d, 0.0), (-d, 0.0)])
-        sample = sir_exact(dep, (0.0, 0.0), 1, PL, fading_seed=None)
-        assert sample.sir == pytest.approx((d / PL.d_critical) ** (PL.eta2 - PL.eta1))
+        signal, interference = cooperative_sir([d, d], np.ones(2), 1, PL)
+        assert signal / interference == pytest.approx((d / PL.d_critical) ** (PL.eta2 - PL.eta1))
 
     def test_single_far_interferer(self):
         d = 25.0
-        dep = deployment_at([(1.0, 0.0), (2.0, 0.0), (0.0, d)])
-        sample = sir_exact(dep, (0.0, 0.0), 2, PL, fading_seed=None)
-        assert sample.interference == pytest.approx(PL.continuity_constant * d**-PL.eta2)
+        r = distances([(1.0, 0.0), (2.0, 0.0), (0.0, d)])
+        _, interference = cooperative_sir(r, np.ones(3), 2, PL)
+        assert interference == pytest.approx(PL.continuity_constant * d**-PL.eta2)
 
     def test_mean_signal_equals_path_loss_sum(self):
-        # unit-mean fading: averaging over seeds recovers the geometry term
-        dep = deployment_at([(3.0, 0.0), (0.0, 8.0), (-15.0, 0.0), (0.0, -40.0)])
+        # unit-mean fading: averaging over draws recovers the geometry term
+        r = distances([(3.0, 0.0), (0.0, 8.0), (-15.0, 0.0), (0.0, -40.0)])
         m = 3
-        expected = sum(path_loss(r, PL) for r in (3.0, 8.0, 15.0))
+        expected = sum(path_loss(d, PL) for d in (3.0, 8.0, 15.0))
         n = 30_000
-        mean = np.mean(
-            [sir_exact(dep, (0.0, 0.0), m, PL, fading_seed=s).signal for s in range(n)]
-        )
-        sd = np.sqrt(sum(path_loss(r, PL) ** 2 for r in (3.0, 8.0, 15.0)) / n)
+        gains = default_rng(4).exponential(size=(n, r.size))
+        mean = np.mean([cooperative_sir(r, h, m, PL)[0] for h in gains])
+        sd = np.sqrt(sum(path_loss(d, PL) ** 2 for d in (3.0, 8.0, 15.0)) / n)
         assert abs(mean - expected) < 4 * sd
 
     def test_insufficient_points(self):
-        dep = deployment_at([(1.0, 0.0), (2.0, 0.0)])
         with pytest.raises(InsufficientPointsError):
-            sir_exact(dep, (0.0, 0.0), 2, PL)
+            cooperative_sir([1.0, 2.0], np.ones(2), 2, PL)
 
     def test_station_on_ue_rejected(self):
-        dep = deployment_at([(0.0, 0.0), (5.0, 0.0)])
         with pytest.raises(ParameterError):
-            sir_exact(dep, (0.0, 0.0), 1, PL)
+            cooperative_sir([0.0, 5.0], np.ones(2), 1, PL)
 
     def test_matches_manual_recomputation(self):
-        # white box: gains indexed by station id, signal/interference rebuilt
-        # by hand; also demonstrates the fading-scale invariance of the ratio
+        # white box: signal/interference rebuilt by hand from the same
+        # gains; also demonstrates the fading-scale invariance of the ratio
         pts = [(2.0, 1.0), (-7.0, 3.0), (12.0, -5.0), (0.0, 30.0), (-25.0, -25.0)]
-        dep = deployment_at(pts)
-        m, seed = 2, 77
-        sample = sir_exact(dep, (0.0, 0.0), m, PL, fading_seed=seed)
-        d = np.hypot(*np.asarray(pts).T)
+        d = distances(pts)
+        m = 2
+        h = default_rng(77).exponential(size=len(pts))
+        signal, interference = cooperative_sir(d, h, m, PL)
         order = np.argsort(d)
-        h = default_rng(seed).exponential(size=len(pts))
-        signal = sum(path_loss(d[i], PL) * h[i] for i in order[:m])
-        interference = sum(
+        expected_signal = sum(path_loss(d[i], PL) * h[i] for i in order[:m])
+        expected_interference = sum(
             PL.continuity_constant * d[i] ** -PL.eta2 * h[i] for i in order[m:]
         )
-        assert sample.signal == pytest.approx(signal)
-        assert sample.interference == pytest.approx(interference)
-        assert sample.sir == pytest.approx(signal / interference)
-        scaled = signal * 3.7 / (interference * 3.7)
-        assert sample.sir == pytest.approx(scaled)
-
-
-class TestSirApprox:
-    def test_coincides_when_all_cooperators_near(self):
-        dep = deployment_at([(3.0, 0.0), (0.0, 7.0), (-40.0, 0.0), (50.0, 50.0)])
-        for seed in (None, 1, 2):
-            a = sir_exact(dep, (0.0, 0.0), 2, PL, fading_seed=seed)
-            b = sir_approx(dep, (0.0, 0.0), 2, PL, fading_seed=seed)
-            assert a.sir == pytest.approx(b.sir)
-
-    def test_upper_bounds_exact_with_far_cooperator(self):
-        dep = deployment_at([(3.0, 0.0), (0.0, 18.0), (-40.0, 0.0), (50.0, 50.0)])
-        for seed in (None, 3, 4):
-            a = sir_exact(dep, (0.0, 0.0), 2, PL, fading_seed=seed)
-            b = sir_approx(dep, (0.0, 0.0), 2, PL, fading_seed=seed)
-            assert b.sir >= a.sir
-
-    def test_symmetric_cluster_closed_form(self):
-        # three cooperators at common distance R, one interferer at 2R > D
-        big_r = 8.0
-        pts = [
-            (big_r, 0.0),
-            (-big_r, 0.0),
-            (0.0, big_r),
-            (2 * big_r, 2 * big_r),
-        ]
-        pts[3] = (2 * big_r, 0.0)  # interferer exactly at 2R on the axis
-        dep = deployment_at(pts)
-        sample = sir_approx(dep, (0.0, 0.0), 3, PL, fading_seed=None)
-        expected = 3 * big_r**-PL.eta1 / (
-            PL.continuity_constant * (2 * big_r) ** -PL.eta2
-        )
-        assert sample.sir == pytest.approx(expected)
-
-
-def test_sir_sample_validation():
-    with pytest.raises(ParameterError):
-        SirSample(signal=-1.0, interference=1.0, sir=-1.0)
-    with pytest.raises(ParameterError):
-        SirSample(signal=1.0, interference=0.0, sir=np.inf)
+        assert signal == pytest.approx(expected_signal)
+        assert interference == pytest.approx(expected_interference)
+        scaled = cooperative_sir(d, 3.7 * h, m, PL)
+        assert scaled[0] / scaled[1] == pytest.approx(signal / interference)

@@ -1,31 +1,19 @@
-"""Geometry: PPP sampling laws, neighbour queries, distance densities, trajectories."""
+"""Geometry: PPP sampling laws and distance densities."""
 import numpy as np
 import pytest
 from numpy.random import default_rng
 from scipy import integrate
 
-from udngc.errors import InsufficientPointsError, ParameterError
+from udngc.errors import ParameterError
 from udngc.geometry import (
     Deployment,
-    Trajectory,
     Window,
     edge_distance_pdf,
     guard_radius,
-    k_nearest,
     kth_distance_cdf,
     kth_distance_pdf,
     sample_ppp,
-    sample_trajectory,
 )
-
-
-def make_deployment(points, radius=100.0):
-    return Deployment(
-        points=np.asarray(points, dtype=float),
-        density=0.01,
-        window=Window(center=(0.0, 0.0), radius=radius),
-        seed=0,
-    )
 
 
 class TestSamplePpp:
@@ -81,47 +69,6 @@ class TestSamplePpp:
         assert abs(np.var(thinned) / np.var(direct) - 1.0) < 0.15
 
 
-class TestKNearest:
-    def test_hand_geometry(self):
-        dep = make_deployment([(0.0, 0.0), (10.0, 0.0), (5.0, 10.0)])
-        nl = k_nearest(dep, (2.0, 0.0), 2)
-        np.testing.assert_allclose(nl.distances, [2.0, 8.0])
-        np.testing.assert_array_equal(nl.indices, [0, 1])
-
-    def test_k_zero(self):
-        dep = make_deployment([(0.0, 0.0)])
-        assert len(k_nearest(dep, (1.0, 1.0), 0)) == 0
-
-    def test_query_on_station(self):
-        dep = make_deployment([(3.0, 4.0), (10.0, 10.0)])
-        nl = k_nearest(dep, (3.0, 4.0), 1)
-        assert nl.distances[0] == 0.0
-
-    def test_insufficient_points(self):
-        dep = make_deployment([(0.0, 0.0), (1.0, 0.0)])
-        with pytest.raises(InsufficientPointsError):
-            k_nearest(dep, (0.0, 0.0), 3)
-
-    def test_tie_broken_by_id(self):
-        # two stations at the same distance: lower id first
-        dep = make_deployment([(5.0, 0.0), (-5.0, 0.0), (0.0, 5.0)])
-        nl = k_nearest(dep, (0.0, 0.0), 3)
-        np.testing.assert_array_equal(nl.indices, [0, 1, 2])
-
-    def test_prefix_property(self):
-        # the (k+1)-nearest list extends the k-nearest list
-        rng = default_rng(5)
-        for _ in range(25):
-            n = int(rng.integers(4, 40))
-            dep = make_deployment(rng.uniform(-50, 50, size=(n, 2)))
-            q = rng.uniform(-50, 50, size=2)
-            k = int(rng.integers(1, n))
-            a = k_nearest(dep, q, k)
-            b = k_nearest(dep, q, k + 1)
-            np.testing.assert_array_equal(b.indices[:k], a.indices)
-            assert np.all(np.diff(b.distances) >= 0)
-
-
 class TestDistanceLaws:
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_pdf_normalisation(self, m):
@@ -171,43 +118,6 @@ class TestDistanceLaws:
         assert abs(mode - 6.9099) < 5e-4
         r = np.linspace(0.01, 30.0, 20_000)
         assert abs(r[np.argmax(edge_distance_pdf(r, lam))] - mode) < 5e-3
-
-
-class TestTrajectory:
-    def test_direction_uniformity(self):
-        # resultant-length (Rayleigh) test over 1e5 seeds: consistent with
-        # a uniform direction law at the 1% level
-        n = 100_000
-        dirs = np.array(
-            [sample_trajectory((0, 0), 1.0, 1.0, 0.1, seed).direction for seed in range(n)]
-        )
-        assert dirs.min() >= 0.0 and dirs.max() < 2 * np.pi
-        z = (np.cos(dirs).sum() ** 2 + np.sin(dirs).sum() ** 2) / n
-        assert np.exp(-z) > 0.01
-
-    def test_deterministic_per_seed(self):
-        a = sample_trajectory((1, 2), 10.0, 5.0, 0.5, 42)
-        b = sample_trajectory((1, 2), 10.0, 5.0, 0.5, 42)
-        assert a.direction == b.direction
-
-    def test_length(self):
-        traj = sample_trajectory((0, 0), 10.0, 10.0, 0.1, 1)
-        assert traj.length == pytest.approx(100.0)
-
-    def test_positions_grid(self):
-        traj = Trajectory(start=(0.0, 0.0), direction=0.0, speed=2.0, duration=1.0, step=0.25)
-        pos = traj.positions()
-        assert pos.shape == (5, 2)
-        np.testing.assert_allclose(pos[:, 0], [0.0, 0.5, 1.0, 1.5, 2.0])
-        np.testing.assert_allclose(pos[:, 1], 0.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            Trajectory(start=(0, 0), direction=7.0, speed=1.0, duration=1.0, step=0.1)
-        with pytest.raises(ParameterError):
-            Trajectory(start=(0, 0), direction=0.0, speed=-1.0, duration=1.0, step=0.1)
-        with pytest.raises(ParameterError):
-            Trajectory(start=(0, 0), direction=0.0, speed=1.0, duration=1.0, step=2.0)
 
 
 def test_guard_radius():
