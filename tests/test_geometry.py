@@ -1,10 +1,10 @@
-"""Geometry: PPP sampling laws and distance densities."""
+"""Geometry: PPP sampling laws, k-nearest queries and distance densities."""
 import numpy as np
 import pytest
 from numpy.random import default_rng
 from scipy import integrate
 
-from udngc.errors import ParameterError
+from udngc.errors import InsufficientPointsError, ParameterError
 from udngc.geometry import (
     Deployment,
     Window,
@@ -14,6 +14,14 @@ from udngc.geometry import (
     kth_distance_pdf,
     sample_ppp,
 )
+from udngc.simulator import _Strip
+
+
+def line_strip(points, length=10.0, width=1.0):
+    """A strip for a UE walking the x axis from the origin; stations at
+    ``points`` (x, y) sit at a = x along the line and b = y across it."""
+    a, b = np.asarray(points, dtype=float).T
+    return _Strip(a, b, length, width)
 
 
 class TestSamplePpp:
@@ -67,6 +75,43 @@ class TestSamplePpp:
         se = np.sqrt(mu / n)
         assert abs(np.mean(thinned) - np.mean(direct)) < 4 * np.sqrt(2) * se
         assert abs(np.var(thinned) / np.var(direct) - 1.0) < 0.15
+
+
+class TestKNearest:
+    """The k-nearest query of the trial engine, _Strip.nearest; the narrow
+    starting width makes each query widen the strip before it answers."""
+
+    def test_hand_geometry(self):
+        strip = line_strip([(0.0, 0.0), (10.0, 0.0), (5.0, 10.0)])
+        ids, dists = strip.nearest(2.0, 2)
+        np.testing.assert_allclose(dists, [2.0, 8.0])
+        np.testing.assert_array_equal(ids, [0, 1])
+
+    def test_query_on_station(self):
+        strip = line_strip([(3.0, 0.0), (10.0, 10.0)])
+        _, dists = strip.nearest(3.0, 1)
+        assert dists[0] == 0.0
+
+    def test_insufficient_points(self):
+        strip = line_strip([(0.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(InsufficientPointsError):
+            strip.nearest(0.0, 3)
+
+    def test_prefix_property(self):
+        # the (k+1)-nearest list extends the k-nearest list, and both match
+        # a brute-force sort of every station's distance
+        rng = default_rng(5)
+        for _ in range(25):
+            n = int(rng.integers(4, 40))
+            pts = rng.uniform(-50, 50, size=(n, 2))
+            t = rng.uniform(0, 10)
+            k = int(rng.integers(1, n))
+            a_ids, a_d = line_strip(pts).nearest(t, k)
+            b_ids, b_d = line_strip(pts).nearest(t, k + 1)
+            np.testing.assert_array_equal(b_ids[:k], a_ids)
+            assert np.all(np.diff(b_d) >= 0)
+            brute = np.argsort(np.hypot(pts[:, 0] - t, pts[:, 1]))
+            np.testing.assert_array_equal(b_ids, brute[: k + 1])
 
 
 class TestDistanceLaws:
