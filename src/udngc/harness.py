@@ -7,7 +7,9 @@ CSV schema (fixed): ``parameter,value,metric,analytic,simulated,ci95,trials,
 runtime_ms``.  Numeric cells carry 12 significant digits, '.' decimal, LF
 line endings; a field holding a comma is double-quoted.  In bit-exact mode
 (single thread) the runtime_ms column is left empty so repeated runs of the
-same seed are byte-identical.
+same seed are byte-identical.  Otherwise it holds the wall time of the
+simulation call that produced the row; rows that share a call, such as the
+four policies of one set of trials, share its time.
 """
 from __future__ import annotations
 
@@ -179,15 +181,6 @@ def parse_config(path) -> ScenarioParams:
         raise ConfigError(str(exc)) from exc
 
 
-def apply_overrides(scenario_kwargs: dict, overrides) -> dict:
-    """Merge CLI ``key=value`` strings into scenario keyword arguments.
-
-    Each string is parsed as one line of a scenario file, so errors name it
-    as ``--set:<n>``, the n-th override.
-    """
-    return {**scenario_kwargs, **_parse_kv("\n".join(overrides or ()), "--set")}
-
-
 # ---------------------------------------------------------------------------
 # CSV rows
 # ---------------------------------------------------------------------------
@@ -242,8 +235,8 @@ def rows_to_csv(rows, bit_exact: bool) -> str:
     return buf.getvalue()
 
 
-def write_rows(out_path, rows, bit_exact: bool) -> None:
-    text = rows_to_csv(rows, bit_exact)
+def _write_text(out_path, text: str) -> None:
+    """Write ``text`` to ``out_path``, or to stdout when it is None."""
     if out_path is None:
         print(text, end="")
     else:
@@ -251,103 +244,139 @@ def write_rows(out_path, rows, bit_exact: bool) -> None:
             fh.write(text)
 
 
+def write_rows(out_path, rows, bit_exact: bool) -> None:
+    _write_text(out_path, rows_to_csv(rows, bit_exact))
+
+
 # ---------------------------------------------------------------------------
-# analytic / simulate commands
+# closed-form catalogue
 # ---------------------------------------------------------------------------
+
+#: policies with a closed-form handover rate
+_RATE_LAWS = ("gcho", "gchos", "traditional")
+_SCHEMES = ("gcho", "gchos")
+
+#: simulated source of the model coverage oracle's rows; the other sources
+#: are the trial engine's policies and, in ``simulate``, the geometric oracle
+_ORACLE = "oracle"
+
+
+class _ClosedForms(dict):
+    """Closed-form metrics of one scenario point, keyed by metric label.
+
+    A value is computed on its first lookup and kept, so each formula runs at
+    most once per point, and coverage, the one costly formula, only when a
+    label needs it.
+    """
+
+    def __init__(self, scenario: ScenarioParams) -> None:
+        super().__init__()
+        self.scenario = scenario
+
+    def __missing__(self, label: str) -> float:
+        s = self.scenario
+        name, _, arg = label.removesuffix("]").partition("[")
+        if label == "handover_rate[gchos]":
+            value = analytics.handover_rate_gchos(s.speed, s.lambda_bs, s.m_group)
+        elif name == "handover_rate" and arg in _RATE_LAWS:
+            m = 1 if arg == "traditional" else s.m_group
+            value = analytics.handover_rate_gcho(s.speed, s.lambda_bs, m)
+        elif name == "handover_cost" and arg in _RATE_LAWS:
+            value = analytics.handover_cost(s.t_h, self[f"handover_rate[{arg}]"])
+        elif label == "signaling_overhead":
+            value = analytics.signaling_overhead(s.mu, s.t_interval, s.m_group)
+        elif name == "overall_cost" and arg in _SCHEMES:
+            value = analytics.overall_cost(arg, s.cost_params(), s.speed, s.lambda_bs, s.m_group)
+        elif name in ("optimal_m", "optimal_m_int") and arg in _SCHEMES:
+            m_star, m_int = analytics.optimal_cluster_size(
+                arg, s.cost_params(), s.speed, s.lambda_bs
+            )
+            self[f"optimal_m[{arg}]"] = m_star
+            self[f"optimal_m_int[{arg}]"] = float(m_int)
+            return self[label]
+        elif label == "coverage[stationary]":
+            value = analytics.coverage_probability(s.coverage_params())
+        elif label == "coverage[mobile]":
+            # a handover cost of 1 or more leaves a mobile UE no coverage
+            value = analytics.cost_aware_coverage(
+                self["coverage[stationary]"], 1, min(self["handover_cost[gcho]"], 1.0)
+            )
+        elif name == "ase" and arg in ("stationary", "mobile"):
+            value = analytics.ase_cost(s.lambda_bs, s.tau_linear, self[f"coverage[{arg}]"])
+        elif label == "cost_ratio[gchos/gcho]":
+            value = self["handover_cost[gchos]"] / self["handover_cost[gcho]"]
+        else:
+            raise KeyError(label)
+        self[label] = value
+        return value
+
+
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and its wall time in milliseconds."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, (time.perf_counter() - t0) * 1e3
+
+
+def _rate_cells(closed: _ClosedForms, rates, runtime_ms: float) -> dict:
+    """Row cells of each policy's rate estimate, keyed by policy; the analytic
+    cell is the policy's closed-form rate, where it has one."""
+    return {
+        policy: dict(
+            analytic=closed[f"handover_rate[{policy}]"] if policy in _RATE_LAWS else None,
+            simulated=est.mean, ci95=est.half_width_95, trials=est.trials,
+            runtime_ms=runtime_ms,
+        )
+        for policy, est in rates.items()
+    }
+
+
+def _coverage_cells(analytic, p: float, trials: int, runtime_ms: float) -> dict:
+    """Row cells of a coverage estimate ``p`` from ``trials`` oracle trials."""
+    ci95 = 1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    return dict(
+        analytic=analytic, simulated=float(p), ci95=ci95, trials=trials, runtime_ms=runtime_ms
+    )
+
 
 def analytic_rows(scenario: ScenarioParams) -> list[SweepRow]:
     """Closed-form metrics of one scenario."""
-    lam, v, m = scenario.lambda_bs, scenario.speed, scenario.m_group
-    costs = scenario.cost_params()
-    rate_g = analytics.handover_rate_gcho(v, lam, m)
-    rate_s = analytics.handover_rate_gchos(v, lam, m)
-    rate_t = analytics.handover_rate_gcho(v, lam, 1)
-    d_cost = analytics.handover_cost(scenario.t_h, rate_g)
-    p_cov = analytics.coverage_probability(scenario.coverage_params())
-    p_mobile = analytics.cost_aware_coverage(p_cov, 1, min(d_cost, 1.0))
-    m_star_g, m_int_g = analytics.optimal_cluster_size("gcho", costs, v, lam)
-    m_star_s, m_int_s = analytics.optimal_cluster_size("gchos", costs, v, lam)
-
-    def row(metric, value):
-        return SweepRow("lambda_bs", lam, metric, analytic=value)
-
+    closed = _ClosedForms(scenario)
     return [
-        row("handover_rate[gcho]", rate_g),
-        row("handover_rate[gchos]", rate_s),
-        row("handover_rate[traditional]", rate_t),
-        row("signaling_overhead", analytics.signaling_overhead(scenario.mu, scenario.t_interval, m)),
-        row("handover_cost[gcho]", d_cost),
-        row("handover_cost[gchos]", analytics.handover_cost(scenario.t_h, rate_s)),
-        row("overall_cost[gcho]", analytics.overall_cost("gcho", costs, v, lam, m)),
-        row("overall_cost[gchos]", analytics.overall_cost("gchos", costs, v, lam, m)),
-        row("optimal_m[gcho]", m_star_g),
-        row("optimal_m_int[gcho]", float(m_int_g)),
-        row("optimal_m[gchos]", m_star_s),
-        row("optimal_m_int[gchos]", float(m_int_s)),
-        row("coverage[stationary]", p_cov),
-        row("coverage[mobile]", p_mobile),
-        row("ase[stationary]", analytics.ase_cost(lam, scenario.tau_linear, p_cov)),
-        row("ase[mobile]", analytics.ase_cost(lam, scenario.tau_linear, p_mobile)),
+        SweepRow("lambda_bs", scenario.lambda_bs, label, analytic=closed[label])
+        for label in (
+            "handover_rate[gcho]", "handover_rate[gchos]", "handover_rate[traditional]",
+            "signaling_overhead", "handover_cost[gcho]", "handover_cost[gchos]",
+            "overall_cost[gcho]", "overall_cost[gchos]",
+            "optimal_m[gcho]", "optimal_m_int[gcho]",
+            "optimal_m[gchos]", "optimal_m_int[gchos]",
+            "coverage[stationary]", "coverage[mobile]", "ase[stationary]", "ase[mobile]",
+        )
     ]
-
-
-def _binomial_ci(p_hat: float, n: int) -> float:
-    return 1.96 * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
 def simulate_rows(scenario: ScenarioParams, threads: int = 1) -> list[SweepRow]:
     """Simulated metrics (with analytic counterparts where one exists)."""
-    lam, v, m = scenario.lambda_bs, scenario.speed, scenario.m_group
-    trials = scenario.trials
-    t0 = time.perf_counter()
-    rates = simulator.estimate_all_rates(scenario, trials, scenario.seed, n_workers=threads)
-    rate_ms = (time.perf_counter() - t0) * 1e3 / 4.0
-
-    analytic_for = {
-        "gcho": analytics.handover_rate_gcho(v, lam, m),
-        "gchos": analytics.handover_rate_gchos(v, lam, m),
-        "traditional": analytics.handover_rate_gcho(v, lam, 1),
-        "fr": None,
-    }
-    metric_name = {
-        "gcho": "handover_rate[gcho]",
-        "gchos": "handover_rate[gchos]",
-        "traditional": "handover_rate[traditional]",
-        "fr": "handover_rate[fr_baseline_disk]",
-    }
-    rows = [
-        SweepRow(
-            "lambda_bs", lam, metric_name[pol],
-            analytic=analytic_for[pol],
-            simulated=rates[pol].mean, ci95=rates[pol].half_width_95,
-            trials=trials, runtime_ms=rate_ms,
+    trials, seed = scenario.trials, scenario.seed
+    closed = _ClosedForms(scenario)
+    cells = _rate_cells(closed, *_timed(
+        simulator.estimate_all_rates, scenario, trials, seed, n_workers=threads
+    ))
+    p, ms = _timed(simulator.coverage_oracle_model, scenario.coverage_params(), trials, seed)
+    cells[_ORACLE] = _coverage_cells(closed["coverage[stationary]"], p, trials, ms)
+    p, ms = _timed(simulator.coverage_oracle_geometric, scenario, trials, seed)
+    cells["geometric_oracle"] = _coverage_cells(None, p, trials, ms)
+    return [
+        SweepRow("lambda_bs", scenario.lambda_bs, label, **cells[key])
+        for label, key in (
+            ("handover_rate[gcho]", "gcho"),
+            ("handover_rate[gchos]", "gchos"),
+            ("handover_rate[traditional]", "traditional"),
+            ("handover_rate[fr_baseline_disk]", "fr"),
+            ("coverage[model]", _ORACLE),
+            ("coverage[geometric_oracle]", "geometric_oracle"),
         )
-        for pol in simulator.POLICIES
     ]
-
-    params = scenario.coverage_params()
-    t0 = time.perf_counter()
-    p_oracle = simulator.coverage_oracle_model(params, trials, scenario.seed)
-    oracle_ms = (time.perf_counter() - t0) * 1e3
-    rows.append(
-        SweepRow(
-            "lambda_bs", lam, "coverage[model]",
-            analytic=analytics.coverage_probability(params),
-            simulated=p_oracle, ci95=_binomial_ci(p_oracle, trials),
-            trials=trials, runtime_ms=oracle_ms,
-        )
-    )
-    t0 = time.perf_counter()
-    p_geom = simulator.coverage_oracle_geometric(scenario, trials, scenario.seed)
-    geom_ms = (time.perf_counter() - t0) * 1e3
-    rows.append(
-        SweepRow(
-            "lambda_bs", lam, "coverage[geometric_oracle]",
-            simulated=p_geom, ci95=_binomial_ci(p_geom, trials),
-            trials=trials, runtime_ms=geom_ms,
-        )
-    )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +385,29 @@ def simulate_rows(scenario: ScenarioParams, threads: int = 1) -> list[SweepRow]:
 
 _COVERAGE_TRIALS = 100_000
 
+#: tag naming an outer axis inside a metric's brackets
+_TAGS = {"m_group": "M", "lambda_bs": "lambda", "d_critical": "D", "speed": "speed"}
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """Nested axes and the metrics evaluated at each of their points.
+
+    * ``axes`` are (setting, values) pairs, outermost first.  The innermost
+      axis fills the ``parameter`` column.  Each outer one becomes a
+      ``_TAGS`` tag inside the metric's brackets; a bare label gains them.
+    * ``metrics`` are (label, source) pairs.  A source of ``None`` gives the
+      label's closed form.  A policy of :data:`simulator.POLICIES` gives its
+      rate from ``trials`` trials at every point; the preset's k-th rate
+      point, counted in nesting order, seeds them with
+      ``_point_seed(seed, k)``.  ``_ORACLE`` runs the model coverage oracle
+      once per outer point, with the scenario seed, over the whole innermost
+      axis, which must then be ``tau_db``.
+    """
+
+    axes: tuple
+    metrics: tuple
+
 
 def _point_seed(seed: int, point: int) -> int:
     """Base seed of a rate sweep's ``point``-th point: each point gets its
@@ -363,284 +415,113 @@ def _point_seed(seed: int, point: int) -> int:
     return int(np.random.SeedSequence([seed, point]).generate_state(1)[0])
 
 
-def _timed_rate(scenario, threads, point):
-    t0 = time.perf_counter()
-    est = simulator.estimate_all_rates(
-        scenario, scenario.trials, _point_seed(scenario.seed, point), n_workers=threads
-    )["gcho"]
-    ms = (time.perf_counter() - t0) * 1e3
-    return est, ms
-
-
-def _fig3(base: dict, threads: int) -> list[SweepRow]:
-    taus = np.linspace(-10.0, 20.0, 13)
+def _run_sweep(sweep: _Sweep, settings: dict, threads: int, points) -> list[SweepRow]:
+    """Rows of one sweep; ``points`` numbers the preset's rate points."""
+    *outer, (parameter, values) = sweep.axes
+    sources = {source for _, source in sweep.metrics} - {None}
     rows = []
-    for lam in (0.001, 0.01):
-        for d in (10.0, 20.0):
-            scn = ScenarioParams(**{**base, "lambda_bs": lam, "d_critical": d, "m_group": 3})
-            params = scn.coverage_params()
-            t0 = time.perf_counter()
-            sims = simulator.coverage_oracle_model(
-                params, _COVERAGE_TRIALS, scn.seed, taus=10.0 ** (taus / 10.0)
+    for outer_values in itertools.product(*(v for _, v in outer)):
+        named = [(name, x) for (name, _), x in zip(outer, outer_values)]
+        point = {**settings, **dict(named)}
+        tags = ",".join(f"{_TAGS[name]}={x:g}" for name, x in named)
+        if _ORACLE in sources:
+            scn = ScenarioParams(**point)
+            coverage, oracle_ms = _timed(
+                simulator.coverage_oracle_model, scn.coverage_params(), _COVERAGE_TRIALS,
+                scn.seed, taus=10.0 ** (np.asarray(values) / 10.0),
             )
-            ms = (time.perf_counter() - t0) * 1e3 / taus.size
-            for tau_db, p_sim in zip(taus, sims):
-                p_ana = analytics.coverage_probability(
-                    dataclasses.replace(params, tau=10.0 ** (tau_db / 10.0))
+        for i, x in enumerate(values):
+            scn = ScenarioParams(**{**point, parameter: x})
+            closed = _ClosedForms(scn)
+            cells = {}
+            if sources - {_ORACLE}:
+                cells = _rate_cells(closed, *_timed(
+                    simulator.estimate_all_rates, scn, scn.trials,
+                    _point_seed(scn.seed, next(points)), n_workers=threads,
+                ))
+            if _ORACLE in sources:
+                cells[_ORACLE] = _coverage_cells(
+                    closed["coverage[stationary]"], coverage[i], _COVERAGE_TRIALS, oracle_ms
                 )
-                rows.append(
-                    SweepRow(
-                        "tau_db", tau_db, f"coverage[lambda={lam:g},D={d:g}]",
-                        analytic=p_ana, simulated=float(p_sim),
-                        ci95=_binomial_ci(float(p_sim), _COVERAGE_TRIALS),
-                        trials=_COVERAGE_TRIALS, runtime_ms=ms,
-                    )
-                )
+            for label, source in sweep.metrics:
+                metric = label
+                if tags:
+                    metric = f"{label[:-1]},{tags}]" if label.endswith("]") else f"{label}[{tags}]"
+                fields = cells[source] if source else {"analytic": closed[label]}
+                rows.append(SweepRow(parameter, float(x), metric, **fields))
     return rows
 
 
-def _fig5(base: dict, threads: int) -> list[SweepRow]:
-    lams = np.logspace(-4, -2, 9)
-    rows = []
-    points = itertools.count()
-    for m in (1, 3, 6, 9):
-        for lam in lams:
-            scn = ScenarioParams(**{**base, "lambda_bs": float(lam), "m_group": m})
-            est, ms = _timed_rate(scn, threads, next(points))
-            rows.append(
-                SweepRow(
-                    "lambda_bs", float(lam), f"handover_rate[gcho,M={m}]",
-                    analytic=analytics.handover_rate_gcho(scn.speed, lam, m),
-                    simulated=est.mean, ci95=est.half_width_95,
-                    trials=scn.trials, runtime_ms=ms,
-                )
-            )
-            if m == 1:
-                rows.append(
-                    SweepRow(
-                        "lambda_bs", float(lam), "handover_rate[traditional]",
-                        analytic=analytics.handover_rate_gcho(scn.speed, lam, 1),
-                    )
-                )
-    return rows
+_TAUS_DB = np.linspace(-10.0, 20.0, 13)
+_M_GROUPS = (1, 3, 6, 9)
+_FIG5_DENSITIES = np.logspace(-4, -2, 9)
 
-
-def _fig6(base: dict, threads: int) -> list[SweepRow]:
-    speeds = np.array([1.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
-    rows = []
-    points = itertools.count()
-    for m in (1, 3, 6, 9):
-        for v in speeds:
-            scn = ScenarioParams(**{**base, "lambda_bs": base.get("lambda_bs", 0.01), "speed": float(v), "m_group": m})
-            est, ms = _timed_rate(scn, threads, next(points))
-            rows.append(
-                SweepRow(
-                    "speed", float(v), f"handover_rate[gcho,M={m}]",
-                    analytic=analytics.handover_rate_gcho(v, scn.lambda_bs, m),
-                    simulated=est.mean, ci95=est.half_width_95,
-                    trials=scn.trials, runtime_ms=ms,
-                )
-            )
-    return rows
-
-
-def _fig7(base: dict, threads: int) -> list[SweepRow]:
-    scn = ScenarioParams(**{**base, "lambda_bs": base.get("lambda_bs", 0.01)})
-    rows = []
-    for m in range(1, 13):
-        rate = analytics.handover_rate_gcho(scn.speed, scn.lambda_bs, m)
-        rows.append(
-            SweepRow(
-                "m_group", float(m), "handover_cost[gcho]",
-                analytic=analytics.handover_cost(scn.t_h, rate),
-            )
-        )
-        rows.append(
-            SweepRow(
-                "m_group", float(m), "handover_cost[traditional]",
-                analytic=analytics.handover_cost(
-                    scn.t_h, analytics.handover_rate_gcho(scn.speed, scn.lambda_bs, 1)
-                ),
-            )
-        )
-    return rows
-
-
-def _fig8(base: dict, threads: int) -> list[SweepRow]:
-    speeds = np.array([2.0, 10.0, 20.0, 30.0])
-    rows = []
-    points = itertools.count()
-    for lam in (0.001, 0.01):
-        for v in speeds:
-            scn = ScenarioParams(**{**base, "lambda_bs": lam, "speed": float(v), "m_group": 3})
-            rates = simulator.estimate_all_rates(
-                scn, scn.trials, _point_seed(scn.seed, next(points)), n_workers=threads
-            )
-            rows.append(
-                SweepRow(
-                    "speed", float(v), f"handover_rate[gcho,lambda={lam:g}]",
-                    analytic=analytics.handover_rate_gcho(v, lam, 3),
-                    simulated=rates["gcho"].mean, ci95=rates["gcho"].half_width_95,
-                    trials=scn.trials,
-                )
-            )
-            rows.append(
-                SweepRow(
-                    "speed", float(v), f"handover_rate[fr_baseline_disk,lambda={lam:g}]",
-                    simulated=rates["fr"].mean, ci95=rates["fr"].half_width_95,
-                    trials=scn.trials,
-                )
-            )
-    return rows
-
-
-def _fig9(base: dict, threads: int) -> list[SweepRow]:
-    taus = np.linspace(-10.0, 20.0, 13)
-    scn = ScenarioParams(**{**base, "lambda_bs": base.get("lambda_bs", 0.01), "m_group": 3})
-    d_cost = analytics.handover_cost(
-        scn.t_h, analytics.handover_rate_gcho(scn.speed, scn.lambda_bs, 3)
-    )
-    params = scn.coverage_params()
-    sims = simulator.coverage_oracle_model(
-        params, _COVERAGE_TRIALS, scn.seed, taus=10.0 ** (taus / 10.0)
-    )
-    rows = []
-    for tau_db, p_sim in zip(taus, sims):
-        p = analytics.coverage_probability(
-            dataclasses.replace(params, tau=10.0 ** (tau_db / 10.0))
-        )
-        rows.append(
-            SweepRow(
-                "tau_db", tau_db, "coverage[stationary]",
-                analytic=p, simulated=float(p_sim),
-                ci95=_binomial_ci(float(p_sim), _COVERAGE_TRIALS),
-                trials=_COVERAGE_TRIALS,
-            )
-        )
-        rows.append(
-            SweepRow(
-                "tau_db", tau_db, "coverage[mobile]",
-                analytic=analytics.cost_aware_coverage(p, 1, d_cost),
-            )
-        )
-    return rows
-
-
-def _fig10(base: dict, threads: int) -> list[SweepRow]:
-    lams = np.array([0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05])
-    rows = []
-    for lam in lams:
-        scn = ScenarioParams(**{**base, "lambda_bs": float(lam), "m_group": 3, "tau_db": base.get("tau_db", 0.0)})
-        p = analytics.coverage_probability(scn.coverage_params())
-        d_cost = analytics.handover_cost(
-            scn.t_h, analytics.handover_rate_gcho(scn.speed, lam, 3)
-        )
-        p_mob = analytics.cost_aware_coverage(p, 1, min(d_cost, 1.0))
-        rows.append(
-            SweepRow(
-                "lambda_bs", float(lam), "ase[stationary]",
-                analytic=analytics.ase_cost(lam, scn.tau_linear, p),
-            )
-        )
-        rows.append(
-            SweepRow(
-                "lambda_bs", float(lam), "ase[mobile]",
-                analytic=analytics.ase_cost(lam, scn.tau_linear, p_mob),
-            )
-        )
-    return rows
-
-
-def _fig11(base: dict, threads: int) -> list[SweepRow]:
-    speeds = np.arange(1.0, 31.0, 2.0)
-    lam = base.get("lambda_bs", 0.01)
-    scn = ScenarioParams(**{**base, "lambda_bs": lam, "m_group": 3})
-    rows = []
-    for v in speeds:
-        c_g = analytics.handover_cost(scn.t_h, analytics.handover_rate_gcho(v, lam, 3))
-        c_s = analytics.handover_cost(scn.t_h, analytics.handover_rate_gchos(v, lam, 3))
-        rows.append(SweepRow("speed", float(v), "handover_cost[gcho]", analytic=c_g))
-        rows.append(SweepRow("speed", float(v), "handover_cost[gchos]", analytic=c_s))
-        rows.append(SweepRow("speed", float(v), "cost_ratio[gchos/gcho]", analytic=c_s / c_g))
-    return rows
-
-
-def _fig12(base: dict, threads: int) -> list[SweepRow]:
-    rows = []
-    for lam in (0.001, 0.005, 0.01):
-        scn = ScenarioParams(**{**base, "lambda_bs": lam})
-        costs = scn.cost_params()
-        for m in range(1, 13):
-            for scheme in ("gcho", "gchos"):
-                rows.append(
-                    SweepRow(
-                        "m_group", float(m), f"overall_cost[{scheme},lambda={lam:g}]",
-                        analytic=analytics.overall_cost(scheme, costs, scn.speed, lam, m),
-                    )
-                )
-    return rows
-
-
-def _fig13(base: dict, threads: int) -> list[SweepRow]:
-    lams = np.logspace(-4, -1.3, 10)
-    rows = []
-    for v in (5.0, 10.0, 20.0):
-        for lam in lams:
-            scn = ScenarioParams(**{**base, "lambda_bs": float(lam), "speed": v})
-            costs = scn.cost_params()
-            for scheme in ("gcho", "gchos"):
-                m_star, m_int = analytics.optimal_cluster_size(scheme, costs, v, float(lam))
-                rows.append(
-                    SweepRow(
-                        "lambda_bs", float(lam), f"optimal_m[{scheme},speed={v:g}]",
-                        analytic=m_star,
-                    )
-                )
-                rows.append(
-                    SweepRow(
-                        "lambda_bs", float(lam), f"optimal_m_int[{scheme},speed={v:g}]",
-                        analytic=float(m_int),
-                    )
-                )
-    return rows
-
-
+#: figure -> (the settings it holds whatever ``--set`` says, its sweeps)
 FIGURE_PRESETS = {
-    "fig3": _fig3,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
-}
-
-#: per-preset base scenario (lambda_bs is overridden inside sweeps as needed)
-_PRESET_BASE = {
-    "fig3": {"lambda_bs": 0.01, "trials": 1000},
-    "fig5": {"lambda_bs": 0.01, "trials": 1000},
-    "fig6": {"lambda_bs": 0.01, "trials": 1000},
-    "fig7": {"lambda_bs": 0.01},
-    "fig8": {"lambda_bs": 0.01, "trials": 1000},
-    "fig9": {"lambda_bs": 0.01, "trials": 1000},
-    "fig10": {"lambda_bs": 0.01},
-    "fig11": {"lambda_bs": 0.01},
-    "fig12": {"lambda_bs": 0.005},
-    "fig13": {"lambda_bs": 0.005},
+    "fig3": ({"m_group": 3}, (_Sweep(
+        (("lambda_bs", (0.001, 0.01)), ("d_critical", (10.0, 20.0)), ("tau_db", _TAUS_DB)),
+        (("coverage", _ORACLE),),
+    ),)),
+    "fig5": ({}, (
+        _Sweep(
+            (("m_group", _M_GROUPS), ("lambda_bs", _FIG5_DENSITIES)),
+            (("handover_rate[gcho]", "gcho"),),
+        ),
+        _Sweep((("lambda_bs", _FIG5_DENSITIES),), (("handover_rate[traditional]", None),)),
+    )),
+    "fig6": ({}, (_Sweep(
+        (("m_group", _M_GROUPS), ("speed", (1.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0))),
+        (("handover_rate[gcho]", "gcho"),),
+    ),)),
+    "fig7": ({}, (_Sweep(
+        (("m_group", range(1, 13)),),
+        (("handover_cost[gcho]", None), ("handover_cost[traditional]", None)),
+    ),)),
+    "fig8": ({"m_group": 3}, (_Sweep(
+        (("lambda_bs", (0.001, 0.01)), ("speed", (2.0, 10.0, 20.0, 30.0))),
+        (("handover_rate[gcho]", "gcho"), ("handover_rate[fr_baseline_disk]", "fr")),
+    ),)),
+    "fig9": ({"m_group": 3}, (_Sweep(
+        (("tau_db", _TAUS_DB),),
+        (("coverage[stationary]", _ORACLE), ("coverage[mobile]", None)),
+    ),)),
+    "fig10": ({"m_group": 3}, (_Sweep(
+        (("lambda_bs", (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05)),),
+        (("ase[stationary]", None), ("ase[mobile]", None)),
+    ),)),
+    "fig11": ({"m_group": 3}, (_Sweep(
+        (("speed", np.arange(1.0, 31.0, 2.0)),),
+        (("handover_cost[gcho]", None), ("handover_cost[gchos]", None),
+         ("cost_ratio[gchos/gcho]", None)),
+    ),)),
+    "fig12": ({}, (_Sweep(
+        (("lambda_bs", (0.001, 0.005, 0.01)), ("m_group", range(1, 13))),
+        (("overall_cost[gcho]", None), ("overall_cost[gchos]", None)),
+    ),)),
+    "fig13": ({}, (_Sweep(
+        (("speed", (5.0, 10.0, 20.0)), ("lambda_bs", np.logspace(-4, -1.3, 10))),
+        (("optimal_m[gcho]", None), ("optimal_m_int[gcho]", None),
+         ("optimal_m[gchos]", None), ("optimal_m_int[gchos]", None)),
+    ),)),
 }
 
 
 def run_figure(preset: str, overrides, out_path, threads: int = 1) -> list[SweepRow]:
-    """Evaluate a figure preset and write its CSV."""
+    """Evaluate a figure preset and write its CSV.
+
+    Each of the ``key=value`` ``overrides`` is parsed as one line of a
+    scenario file, so errors name it as ``--set:<n>``, the n-th override.
+    Figures that do not sweep the density run at ``lambda_bs=0.01`` unless an
+    override sets it.
+    """
     if preset not in FIGURE_PRESETS:
         raise ConfigError(
             f"unknown preset {preset!r}; expected one of {', '.join(sorted(FIGURE_PRESETS))}"
         )
-    base = apply_overrides(_PRESET_BASE[preset], overrides)
-    rows = FIGURE_PRESETS[preset](base, threads)
+    fixed, sweeps = FIGURE_PRESETS[preset]
+    settings = {"lambda_bs": 0.01, **_parse_kv("\n".join(overrides or ()), "--set"), **fixed}
+    points = itertools.count()
+    rows = [row for sweep in sweeps for row in _run_sweep(sweep, settings, threads, points)]
     write_rows(out_path, rows, bit_exact=(threads <= 1))
     return rows
 
@@ -722,18 +603,11 @@ def _live_checks(
     for m, red in ((3, 1 - 1 / np.sqrt(3)), (6, 1 - 1 / np.sqrt(6)), (9, 1 - 1 / 3.0)):
         obs = 1.0 - analytics.handover_rate_gcho(v, lam, m) / analytics.handover_rate_gcho(v, lam, 1)
         checks.append(CheckRow(f"rate_reduction_m{m}", red, obs, 1e-12))
-    checks.append(
-        CheckRow(
-            "gchos_halving",
-            0.5,
-            analytics.handover_rate_gchos(v, lam, 3) / analytics.handover_rate_gcho(v, lam, 3),
-            1e-12,
-        )
-    )
-    costs = scenario.cost_params()
-    m_star_g, _ = analytics.optimal_cluster_size("gcho", costs, v, lam)
-    m_star_s, _ = analytics.optimal_cluster_size("gchos", costs, v, lam)
-    checks.append(CheckRow("optimal_m_ratio", 4.0 ** (-1 / 3), m_star_s / m_star_g, 1e-12))
+    closed = _ClosedForms(scenario)
+    halving = closed["handover_rate[gchos]"] / closed["handover_rate[gcho]"]
+    checks.append(CheckRow("gchos_halving", 0.5, halving, 1e-12))
+    ratio = closed["optimal_m[gchos]"] / closed["optimal_m[gcho]"]
+    checks.append(CheckRow("optimal_m_ratio", 4.0 ** (-1 / 3), ratio, 1e-12))
 
     # recursion internals: incomplete-beta k_0 at eta2 = 4 against its
     # elementary form, and the matrix route against the direct recursion
@@ -756,7 +630,7 @@ def _live_checks(
     checks.append(CheckRow("toeplitz_consistency_max_err", 0.0, float(max(diffs)), 1e-10))
 
     # coverage: analytic vs oracle, and tau-monotonicity
-    p_ana = analytics.coverage_probability(params)
+    p_ana = closed["coverage[stationary]"]
     p_sim = simulator.coverage_oracle_model(params, oracle_trials, scenario.seed)
     checks.append(CheckRow("coverage_vs_oracle", p_sim, p_ana, 0.015))
     taus_db = np.array([-10.0, 0.0, 10.0, 20.0])
@@ -770,18 +644,16 @@ def _live_checks(
     checks.append(CheckRow("coverage_decreasing_in_tau", 1.0, mono, 0.0))
 
     # ASE mobility gap identity
-    d_cost = analytics.handover_cost(scenario.t_h, analytics.handover_rate_gcho(v, lam, scenario.m_group))
-    p_mob = analytics.cost_aware_coverage(p_ana, 1, min(d_cost, 1.0))
-    ase_s = analytics.ase_cost(lam, scenario.tau_linear, p_ana)
-    ase_m = analytics.ase_cost(lam, scenario.tau_linear, p_mob)
-    checks.append(CheckRow("ase_gap_identity", min(d_cost, 1.0), (ase_s - ase_m) / ase_s, 1e-12))
+    ase_s, ase_m = closed["ase[stationary]"], closed["ase[mobile]"]
+    d_cost = min(closed["handover_cost[gcho]"], 1.0)
+    checks.append(CheckRow("ase_gap_identity", d_cost, (ase_s - ase_m) / ase_s, 1e-12))
 
     # simulation against closed forms
     rates = simulator.estimate_all_rates(
         scenario, rate_trials, scenario.seed, n_workers=threads
     )
-    eq = analytics.handover_rate_gcho(v, lam, scenario.m_group)
-    checks.append(CheckRow("sim_gcho_vs_closed_form_rel", 0.0, rates["gcho"].mean / eq - 1.0, 0.15))
+    rel = rates["gcho"].mean / closed["handover_rate[gcho]"] - 1.0
+    checks.append(CheckRow("sim_gcho_vs_closed_form_rel", 0.0, rel, 0.15))
     checks.append(
         CheckRow("sim_gchos_ratio", 0.5, rates["gchos"].mean / rates["gcho"].mean, 0.07)
     )
@@ -816,10 +688,5 @@ def validate(
         lines.append(
             f"{r.check},{_fmt(r.expected)},{_fmt(r.observed)},{_fmt(r.tolerance)},{status}"
         )
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        print(text, end="")
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+    _write_text(out_path, "\n".join(lines) + "\n")
     return all(r.passed for r in rows), rows

@@ -367,16 +367,11 @@ def run_handover_trial(scenario: "ScenarioParams", seed) -> TrialResult:
     )
 
 
-def _trial_counts(args) -> tuple[int, list[int]]:
+def _pool_trial(args) -> TrialResult:
+    # looked up through the module global, so wrappers of run_handover_trial
+    # also see the trials a pool runs
     scenario, base_seed, idx = args
-    res = run_handover_trial(scenario, [base_seed, idx])
-    return idx, [
-        res.handovers_gcho,
-        res.handovers_gchos,
-        res.handovers_traditional,
-        res.handovers_fr,
-        res.deployment_resamples,
-    ]
+    return run_handover_trial(scenario, [base_seed, idx])
 
 
 def simulate_trials(
@@ -392,27 +387,11 @@ def simulate_trials(
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    duration = scenario.duration
-    length = scenario.speed * duration
     if n_workers <= 1:
         return [run_handover_trial(scenario, [base_seed, i]) for i in range(trials)]
-    counts: list[list[int] | None] = [None] * trials
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         jobs = ((scenario, base_seed, i) for i in range(trials))
-        for idx, row in pool.map(_trial_counts, jobs, chunksize=max(1, trials // (8 * n_workers))):
-            counts[idx] = row
-    return [
-        TrialResult(
-            handovers_gcho=row[0],
-            handovers_gchos=row[1],
-            handovers_traditional=row[2],
-            handovers_fr=row[3],
-            duration=float(duration),
-            trajectory_length=float(length),
-            deployment_resamples=row[4],
-        )
-        for row in counts  # type: ignore[union-attr]
-    ]
+        return list(pool.map(_pool_trial, jobs, chunksize=max(1, trials // (8 * n_workers))))
 
 
 def _rate_from_counts(counts: np.ndarray, duration: float, trials: int) -> RateEstimate:

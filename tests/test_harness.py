@@ -2,6 +2,7 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from udngc.harness import (
     simulate_rows,
     validate,
 )
+
+
+#: reference CSVs of the closed-form presets, written by the hand-coded figure
+#: functions that the preset table replaced
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -205,6 +211,44 @@ class TestFigures:
         rows = run_figure("fig7", [], tmp_path / "fig7.csv")
         curve = [r.analytic for r in rows if r.metric == "handover_cost[gcho]"]
         assert all(np.diff(curve) < 0)
+
+    @pytest.mark.parametrize("preset", ["fig7", "fig11", "fig12", "fig13"])
+    def test_closed_form_preset_matches_reference(self, preset, tmp_path):
+        out = tmp_path / f"{preset}.csv"
+        run_figure(preset, [], out, threads=1)
+        with open(out, newline="") as fh:
+            written = list(csv.reader(fh))
+        with open(DATA / f"{preset}.csv", newline="") as fh:
+            reference = list(csv.reader(fh))
+        # labels, row order and the parameter and value columns match exactly
+        assert [f[:3] for f in written] == [f[:3] for f in reference]
+        assert all(f[4:] == ["", "", "", ""] for f in written[1:])
+        for row, ref in zip(written[1:], reference[1:]):
+            assert float(row[3]) == pytest.approx(float(ref[3]), rel=1e-12, abs=0.0)
+
+    def test_fig9_mobile_coverage_clamped_when_handover_cost_exceeds_one(self, tmp_path):
+        # at 200 m/s the gcho handover cost is about 1.2: a mobile UE keeps no
+        # coverage, as in `udngc analytic` and fig10
+        with pytest.warns(UserWarning, match="handover cost"):
+            rows = run_figure("fig9", ["lambda_bs=0.001", "speed=200"], tmp_path / "fig9.csv")
+        mobile = [r.analytic for r in rows if r.metric == "coverage[mobile]"]
+        assert len(mobile) == 13
+        assert all(p == 0.0 for p in mobile)
+
+    def test_rows_of_one_call_share_its_runtime(self, tmp_path):
+        scn = ScenarioParams(lambda_bs=0.01, trials=20, seed=5)
+        rates = [r for r in simulate_rows(scn) if r.metric.startswith("handover_rate[")]
+        assert len(rates) == 4
+        assert len({r.runtime_ms for r in rates}) == 1 and rates[0].runtime_ms > 0
+        rows = run_figure("fig8", ["trials=5"], tmp_path / "fig8.csv")
+        times = {}
+        for r in rows:
+            density = r.metric.split(",")[1]
+            times.setdefault((density, r.value), set()).add(r.runtime_ms)
+        assert len(times) == 8
+        for shared in times.values():
+            (runtime,) = shared
+            assert runtime > 0
 
 
 class TestValidate:

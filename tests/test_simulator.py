@@ -270,12 +270,6 @@ class TestCoverageOracleGeometric:
         assert p1 == p2
         assert 0.0 <= p1 <= 1.0
 
-    def test_gap_against_model_oracle_is_reported_not_gated(self):
-        # the all-near-branch approximation gap is a finding; just log it
-        p_geom = coverage_oracle_geometric(SCN, 4000, seed=2)
-        p_model = coverage_oracle_model(SCN.coverage_params(), 100_000, seed=2)
-        print(f"approximation gap (geometric - model): {p_geom - p_model:+.4f}")
-
 
 def test_trial_result_validation():
     with pytest.raises(ParameterError):
