@@ -5,8 +5,9 @@ line-of-sight regime) and as Lambda * r^-eta2 beyond it, with Lambda chosen
 so the two branches join continuously.  The m nearest base stations transmit
 the useful signal; every other station interferes through the far branch.
 Noise is neglected (interference-limited regime).  :func:`cooperative_sir`
-is the one SIR evaluator; it serves
-:func:`udngc.simulator.coverage_oracle_geometric`.
+is the one SIR evaluator, and the reference that
+:func:`udngc.simulator.coverage_oracle_geometric` is tested against; the
+oracles draw on the same two laws, :func:`path_loss` and :func:`far_gain`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import InsufficientPointsError, ParameterError
 
-__all__ = ["PathLossParams", "path_loss", "cooperative_sir"]
+__all__ = ["PathLossParams", "path_loss", "far_gain", "cooperative_sir"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,12 @@ class PathLossParams:
         return self.d_critical ** (self.eta2 - self.eta1)
 
 
+def far_gain(r2, params: PathLossParams):
+    """Far-branch gain Lambda * r^-eta2 at squared distance ``r2``, whatever
+    the distance: the gain of every interferer."""
+    return params.continuity_constant * np.asarray(r2, dtype=float) ** (-params.eta2 / 2.0)
+
+
 def path_loss(r, params: PathLossParams):
     """Dual-slope gain: r^-eta1 for r <= d_critical, else Lambda * r^-eta2.
 
@@ -51,11 +58,7 @@ def path_loss(r, params: PathLossParams):
     if np.any(r_arr <= 0):
         raise ParameterError("path loss is singular at r = 0; distances must be positive")
     near = r_arr <= params.d_critical
-    out = np.where(
-        near,
-        r_arr ** -params.eta1,
-        params.continuity_constant * r_arr ** -params.eta2,
-    )
+    out = np.where(near, r_arr ** -params.eta1, far_gain(r_arr * r_arr, params))
     return out if out.ndim else float(out)
 
 
@@ -78,7 +81,5 @@ def cooperative_sir(r, h, m: int, params: PathLossParams) -> tuple[float, float]
     coop = part[:m]
     rest = part[m:]
     signal = float(np.sum(path_loss(r[coop], params) * h[coop]))
-    interference = float(
-        np.sum(params.continuity_constant * r[rest] ** -params.eta2 * h[rest])
-    )
+    interference = float(np.sum(far_gain(r[rest] ** 2, params) * h[rest]))
     return signal, interference

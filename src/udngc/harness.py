@@ -511,15 +511,21 @@ def run_figure(preset: str, overrides, out_path, threads: int = 1) -> list[Sweep
 
     Each of the ``key=value`` ``overrides`` is parsed as one line of a
     scenario file, so errors name it as ``--set:<n>``, the n-th override.
-    Figures that do not sweep the density run at ``lambda_bs=0.01`` unless an
-    override sets it.
+    An override of a setting the preset fixes or sweeps is a config error,
+    since it could not take effect.  Figures that do not sweep the density
+    run at ``lambda_bs=0.01`` unless an override sets it.
     """
     if preset not in FIGURE_PRESETS:
         raise ConfigError(
             f"unknown preset {preset!r}; expected one of {', '.join(sorted(FIGURE_PRESETS))}"
         )
     fixed, sweeps = FIGURE_PRESETS[preset]
-    settings = {"lambda_bs": 0.01, **_parse_kv("\n".join(overrides or ()), "--set"), **fixed}
+    overridden = _parse_kv("\n".join(overrides or ()), "--set")
+    held = set(fixed).union(*({name for name, _ in sweep.axes} for sweep in sweeps))
+    clash = sorted(held.intersection(overridden))
+    if clash:
+        raise ConfigError(f"--set cannot change {', '.join(clash)}: {preset} fixes or sweeps it")
+    settings = {"lambda_bs": 0.01, **overridden, **fixed}
     points = itertools.count()
     rows = [row for sweep in sweeps for row in _run_sweep(sweep, settings, threads, points)]
     write_rows(out_path, rows, bit_exact=(threads <= 1))

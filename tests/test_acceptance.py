@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The coverage grid is the
-slow part (it re-runs a million-trial oracle per parameter combination);
-expect about five minutes in total on two cores.
+Run with ``pytest tests/test_acceptance.py -v -s``.  The coverage grid runs a
+million-trial oracle per parameter combination; expect about a minute in
+total on two cores, of which the grid takes about 17 s.
 """
 import dataclasses
 import subprocess

@@ -193,6 +193,15 @@ class TestFigures:
             with pytest.raises(ConfigError, match=message):
                 run_figure("fig7", ["speed=5", item], tmp_path / "fig7.csv")
 
+    def test_override_of_a_held_setting_is_config_error(self, tmp_path):
+        # fig11 fixes m_group=3 and fig3 sweeps tau_db: neither override could
+        # take effect, so neither runs
+        for preset, item in (("fig11", "m_group=6"), ("fig3", "tau_db=5")):
+            out = tmp_path / f"{preset}.csv"
+            with pytest.raises(ConfigError, match=item.split("=")[0]):
+                run_figure(preset, ["speed=5", item], out)
+            assert not out.exists()
+
     def test_fig12_gchos_minimum_at_three(self, tmp_path):
         rows = run_figure("fig12", [], tmp_path / "fig12.csv")
         curve = {
@@ -329,6 +338,11 @@ class TestCli:
     def test_bad_override_exits_two(self, tmp_path):
         out = str(tmp_path / "fig7.csv")
         assert main(["figure", "fig7", "--set", "bogus=1", "--out", out]) == 2
+
+    def test_override_of_fixed_setting_exits_two(self, tmp_path, capsys):
+        out = str(tmp_path / "fig11.csv")
+        assert main(["figure", "fig11", "--set", "m_group=6", "--out", out]) == 2
+        assert "m_group" in capsys.readouterr().err
 
     def test_unknown_preset_exits_two(self):
         with pytest.raises(SystemExit) as exc:

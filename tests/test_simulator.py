@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 from scipy import stats
@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 
 from udngc import analytics, simulator
 from udngc.analytics import CoverageParams
-from udngc.channel import PathLossParams
+from udngc.channel import PathLossParams, cooperative_sir, far_gain
 from udngc.errors import ParameterError
 from udngc.geometry import kth_distance_cdf
 from udngc.harness import ScenarioParams
@@ -20,6 +20,7 @@ from udngc.simulator import (
     _footprints,
     _nearest_changes,
     _skipping_handovers,
+    _Settle,
     _Strip,
     HandoverAction,
     TrialResult,
@@ -262,6 +263,86 @@ class TestCoverageOracleModel:
         p_sim = coverage_oracle_model(params, 150_000, seed=21)
         assert abs(p_sim - analytics.coverage_probability(params)) < 0.02
 
+    @pytest.mark.parametrize("tau_db", [-20.0, 30.0])
+    def test_extreme_thresholds(self, tau_db):
+        params = CoverageParams(
+            tau=10.0 ** (tau_db / 10.0), lambda_bs=0.01, m=3,
+            pathloss=PathLossParams(2.0, 4.0, 20.0),
+        )
+        p_ana = analytics.coverage_probability(params)
+        p_sim = coverage_oracle_model(params, 20_000, seed=17)
+        assert abs(p_sim - p_ana) <= 5.0 * np.sqrt(p_ana * (1.0 - p_ana) / 20_000)
+
+    def test_rejects_divergent_interference(self):
+        params = CoverageParams(
+            tau=1.0, lambda_bs=0.01, m=3, pathloss=PathLossParams(2.0, 2.0, 10.0)
+        )
+        with pytest.raises(ParameterError, match="diverges"):
+            coverage_oracle_model(params, 10, seed=1)
+
+
+def brute_force_hits(settle, p, gain):
+    """Decisions x > a*(I(p_c) + tail(p_c)) with I(p_c) summed over every
+    interferer of ``p`` up to each pair's p_c."""
+    level = np.array(
+        [[gain[i, p[i] <= pc].sum() for pc in row] for i, row in enumerate(settle.p_c)]
+    )
+    return settle.x[:, None] > settle.a * (level + settle.tail)
+
+
+class TestEarlyMiss:
+    """Certain misses and per-threshold radii settle each pair exactly as a
+    sum over every interferer up to its p_c would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(1e-3, 0.1),
+        d=st.floats(5.0, 40.0),
+        eta2=st.floats(2.0, 6.0, exclude_min=True),
+        m=st.integers(1, 9),
+        taus_db=st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=4),
+        sizes=st.lists(st.integers(1, 64), min_size=1, max_size=6),
+    )
+    def test_settle_matches_brute_force(self, seed, lam, d, eta2, m, taus_db, sizes):
+        pl = PathLossParams(2.0, eta2, d)
+        rng = default_rng(seed)
+        n = 30
+        big_r2 = rng.gamma(2.0 if m >= 2 else 1.0, size=n) / (np.pi * lam)
+        a = 10.0 ** (np.array(taus_db) / 10.0) * big_r2[:, None]
+        settle = _Settle(rng.gamma(m, size=n), a, 1.0, big_r2, lam, pl)
+        # the brute force needs every interferer out to the largest radius
+        p_max = settle.p_c.max(axis=1)
+        assume(np.pi * lam * (p_max - big_r2).max() < 5000)
+        p, h = simulator._arrivals(rng, lam, big_r2, 64)
+        while np.any(p[:, -1] <= p_max):
+            more = simulator._arrivals(rng, lam, p[:, -1], p.shape[1])
+            p, h = np.hstack([p, more[0]]), np.hstack([h, more[1]])
+        gain = far_gain(p, pl) * h
+        # feed the open trials chunk by chunk, as the sampler does
+        rows, fed = np.arange(n), 0
+        for size in sizes + [p.shape[1]]:
+            chunk = slice(fed, fed + size)
+            rows = rows[settle.feed(rows, p[rows, chunk], gain[rows, chunk])]
+            fed += size
+            if not rows.size:
+                break
+        assert rows.size == 0
+        np.testing.assert_array_equal(settle.hit, brute_force_hits(settle, p, gain))
+
+
+#: (lambda, m, tau_db, d_critical) -> coverage of the exact per-link SIR and
+#: its reported +-, from 200 000 samples of the m nearest distances with
+#: fading and interference integrated out exactly (hypoexponential signal,
+#: far-branch Laplace transform beyond r_m)
+SEMI_ANALYTIC = {
+    (0.01, 3, 0.0, 10.0): (0.7399, 0.0007),
+    (0.001, 3, 0.0, 10.0): (0.8816, 0.0007),
+    (0.01, 1, 0.0, 10.0): (0.2358, 0.0007),
+    (0.01, 6, 5.0, 20.0): (0.2077, 0.0011),
+    (0.003, 3, -5.0, 10.0): (0.9825, 0.0002),
+}
+
 
 class TestCoverageOracleGeometric:
     def test_runs_and_is_deterministic(self):
@@ -269,6 +350,49 @@ class TestCoverageOracleGeometric:
         p2 = coverage_oracle_geometric(SCN, 2000, seed=2)
         assert p1 == p2
         assert 0.0 <= p1 <= 1.0
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_powers_equal_cooperative_sir(self, m, monkeypatch):
+        # one trial per batch, so every chunk the sampler draws is that trial's
+        scn = ScenarioParams(lambda_bs=0.01, m_group=m, tau_db=0.0)
+        drawn = []
+        arrivals = simulator._arrivals
+
+        def recording(*args):
+            p, h = arrivals(*args)
+            drawn.append((p[0].copy(), h[0].copy()))
+            return p, h
+
+        monkeypatch.setattr(simulator, "_arrivals", recording)
+        rng = default_rng(m)
+        tau = scn.tau_linear
+        for _ in range(100):
+            drawn.clear()
+            settle = simulator._geometric_settle(rng, 1, scn)
+            p, h = (np.concatenate(x) for x in zip(*drawn))
+            signal, interference = cooperative_sir(np.sqrt(p), h, m, scn.pathloss())
+            assert settle.x[0] == pytest.approx(signal, rel=1e-12)
+            assert settle.interference[0] == pytest.approx(interference, rel=1e-12)
+            p_c = settle.p_c[0, 0]
+            if p[-1] > p_c:
+                # settled at its radius: the tail mean stands for the rest
+                keep = p <= p_c
+                within = 0.0
+                if np.count_nonzero(keep) > m:
+                    within = cooperative_sir(np.sqrt(p[keep]), h[keep], m, scn.pathloss())[1]
+                assert settle.hit[0, 0] == (signal > tau * (within + settle.tail[0, 0]))
+            else:
+                # stopped early: a certain miss
+                assert tau * interference >= signal and not settle.hit[0, 0]
+
+    @pytest.mark.parametrize("case", sorted(SEMI_ANALYTIC))
+    def test_matches_semi_analytic_coverage(self, case):
+        lam, m, tau_db, d = case
+        expected, se_expected = SEMI_ANALYTIC[case]
+        scn = ScenarioParams(lambda_bs=lam, m_group=m, tau_db=tau_db, d_critical=d)
+        p = coverage_oracle_geometric(scn, 20_000, seed=11)
+        se = np.sqrt(p * (1.0 - p) / 20_000)
+        assert abs(p - expected) <= 4.0 * np.sqrt(se**2 + se_expected**2)
 
 
 def test_trial_result_validation():
