@@ -28,14 +28,7 @@ from .errors import (
     ParameterError,
     UdngcError,
 )
-from .geometry import (
-    Deployment,
-    Window,
-    edge_distance_pdf,
-    guard_radius,
-    kth_distance_pdf,
-    sample_ppp,
-)
+from .geometry import guard_radius, kth_distance_pdf, sample_ppp
 from .harness import ScenarioParams, SweepRow, parse_config, run_figure, validate
 from .simulator import (
     HandoverAction,

@@ -10,7 +10,8 @@ The recursion's interference moments k_i(theta) are exact: with h = eta2/2
 and x = 1/(1 + theta^h), k_0 = B(x; 1 - 1/h, 1/h)/h and
 k_i = B(x; i - 1/h, 1 + 1/h)/h for i >= 1, where B is the incomplete beta
 function (DLMF 8.17).  The one numerical integral is the adaptive
-Gauss-Kronrod quadrature over the edge distance R, to ``CoverageParams.quad_tol``.
+Gauss-Kronrod quadrature over the edge distance R, to relative tolerance
+``_QUAD_TOL``.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from scipy.linalg import solve_triangular
 
 from .channel import PathLossParams
 from .errors import NumericalError, ParameterError
-from .geometry import edge_distance_pdf, kth_distance_pdf
+from .geometry import kth_distance_pdf
 
 __all__ = [
     "CostParams",
@@ -243,7 +244,6 @@ class CoverageParams:
     lambda_bs: float
     m: int
     pathloss: PathLossParams = field(default_factory=PathLossParams)
-    quad_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.tau <= 0:
@@ -252,10 +252,6 @@ class CoverageParams:
             raise ParameterError(f"lambda_bs must be positive, got {self.lambda_bs}")
         if self.m < 1 or int(self.m) != self.m:
             raise ParameterError(f"m must be a positive integer, got {self.m}")
-        if not 0.0 < self.quad_tol <= 1e-3:
-            raise ParameterError(
-                f"quad_tol must lie in (0, 1e-3], got {self.quad_tol}"
-            )
 
 
 @dataclass(frozen=True)
@@ -328,12 +324,16 @@ def toeplitz_matrix_coefficients(state: ToeplitzState) -> np.ndarray:
     return np.concatenate([[state.a_values[0]], a_tail])
 
 
+#: relative tolerance of the outer coverage quadrature over the edge distance
+_QUAD_TOL = 1e-8
+
+
 def _edge_density(params: CoverageParams):
-    """Outer integration weight: the printed edge law for m >= 2, the
-    nearest-distance law for the documented m = 1 mode."""
-    if params.m >= 2:
-        return lambda r: edge_distance_pdf(r, params.lambda_bs)
-    return lambda r: kth_distance_pdf(r, 1, params.lambda_bs)
+    """Outer integration weight: the edge law f(R) = 2 (pi L)^2 R^3
+    exp(-pi L R^2), the second-nearest law, for m >= 2; the nearest-distance
+    law for the documented m = 1 mode."""
+    order = 2 if params.m >= 2 else 1
+    return lambda r: kth_distance_pdf(r, order, params.lambda_bs)
 
 
 def coverage_probability(params: CoverageParams) -> float:
@@ -341,8 +341,8 @@ def coverage_probability(params: CoverageParams) -> float:
 
     Conditional coverage (a_0 + ... + a_{m-1}) is integrated over the edge
     distance law, truncated where the density's remaining mass is < 1e-10.
-    For m >= 2 the outer weight is the fixed edge law
-    :func:`udngc.geometry.edge_distance_pdf`; m = 1 is a separate documented
+    For m >= 2 the outer weight is the edge law, the second-nearest law of
+    :func:`udngc.geometry.kth_distance_pdf`; m = 1 is a separate documented
     mode using the nearest-distance law.  The result is clamped to [0, 1]
     only after the quadrature has converged, with a warning if the excursion
     exceeds float noise.
@@ -356,7 +356,7 @@ def coverage_probability(params: CoverageParams) -> float:
 
     r_max = 2.0 * np.sqrt(-np.log(1e-10) / (np.pi * params.lambda_bs))
     out = integrate.quad(
-        integrand, 0.0, r_max, epsabs=1e-12, epsrel=params.quad_tol, limit=200,
+        integrand, 0.0, r_max, epsabs=1e-12, epsrel=_QUAD_TOL, limit=200,
         full_output=1,
     )
     if len(out) > 3:

@@ -1,13 +1,11 @@
-"""Spatial primitives: PPP deployments and distance laws.
+"""Spatial primitives: PPP sampling and distance laws.
 
 Base stations are modelled as a homogeneous Poisson point process (PPP)
-sampled inside a finite circular window.  The window stands in for the
+sampled inside a finite disk around the origin.  The disk stands in for the
 infinite plane; callers keep a guard band between the area of interest and
-the window edge so that nearest-neighbour statistics stay unbiased.
+the disk's edge so that nearest-neighbour statistics stay unbiased.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -16,13 +14,10 @@ from scipy.special import gammainc, gammaln
 from .errors import ParameterError
 
 __all__ = [
-    "Window",
-    "Deployment",
     "guard_radius",
     "sample_ppp",
     "kth_distance_pdf",
     "kth_distance_cdf",
-    "edge_distance_pdf",
 ]
 
 
@@ -34,71 +29,22 @@ def guard_radius(density: float) -> float:
     return 3.0 / np.sqrt(np.pi * density)
 
 
-@dataclass(frozen=True)
-class Window:
-    """Circular simulation region."""
-
-    center: tuple[float, float]
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise ParameterError(f"window radius must be positive, got {self.radius}")
-
-    @property
-    def area(self) -> float:
-        return np.pi * self.radius**2
-
-    def contains(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Boolean mask of points lying at least ``margin`` inside the boundary."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-        return d <= self.radius - margin + 1e-12 * self.radius
-
-
-@dataclass(frozen=True, eq=False)
-class Deployment:
-    """One realisation of the BS point process.
-
-    Immutable after creation; safe to share across workers.
-    """
-
-    points: np.ndarray
-    density: float
-    window: Window
-    seed: int
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2).copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if not self.density > 0:
-            raise ParameterError(f"density must be positive, got {self.density}")
-        if pts.size and not self.window.contains(pts).all():
-            raise ParameterError("deployment contains points outside its window")
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
-def sample_ppp(density: float, window: Window, seed: int) -> Deployment:
-    """Sample a homogeneous PPP of the given density inside ``window``.
+def sample_ppp(density: float, radius: float, seed: int) -> np.ndarray:
+    """Sample a homogeneous PPP of the given density in the disk of
+    ``radius`` around the origin, as an (n, 2) array of points.
 
     The point count is Poisson(density * area) and positions are i.i.d.
     uniform over the disk.  Deterministic for a fixed seed.
     """
     if density <= 0:
         raise ParameterError(f"density must be positive, got {density}")
+    if not radius > 0:
+        raise ParameterError(f"radius must be positive, got {radius}")
     rng = default_rng(seed)
-    n = rng.poisson(density * window.area)
-    r = window.radius * np.sqrt(rng.uniform(size=n))
+    n = rng.poisson(density * (np.pi * radius**2))
+    r = radius * np.sqrt(rng.uniform(size=n))
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    pts = np.column_stack([
-        window.center[0] + r * np.cos(phi),
-        window.center[1] + r * np.sin(phi),
-    ])
-    return Deployment(points=pts, density=density, window=window, seed=seed)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
 def kth_distance_pdf(r, m: int, density: float):
@@ -111,43 +57,23 @@ def kth_distance_pdf(r, m: int, density: float):
         raise ParameterError(f"m must be a positive integer, got {m}")
     if density <= 0:
         raise ParameterError(f"density must be positive, got {density}")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
+    r_arr = np.asarray(r, dtype=float)[()]  # a scalar r stays a scalar
+    if (r_arr < 0).any():
         raise ParameterError("r must be non-negative")
-    out = np.zeros_like(r_arr)
-    pos = r_arr > 0
-    rp = r_arr[pos]
-    log_pdf = (
-        np.log(2.0)
-        + m * np.log(np.pi * density)
-        - gammaln(m)
-        - density * np.pi * rp**2
-        + (2 * m - 1) * np.log(rp)
-    )
-    out[pos] = np.exp(log_pdf)
-    return out if out.ndim else float(out)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: the density is 0 at r = 0
+        log_pdf = (
+            np.log(2.0)
+            + m * np.log(np.pi * density)
+            - gammaln(m)
+            - density * np.pi * r_arr**2
+            + (2 * m - 1) * np.log(r_arr)
+        )
+    out = np.exp(log_pdf)
+    return out if np.ndim(out) else float(out)
 
 
 def kth_distance_cdf(r, m: int, density: float):
     """CDF matching :func:`kth_distance_pdf`: P(pi*density*r^2 area holds < m points)."""
     r_arr = np.asarray(r, dtype=float)
     out = gammainc(m, np.pi * density * r_arr**2)
-    return out if out.ndim else float(out)
-
-
-def edge_distance_pdf(r, density: float):
-    """Distance density of the common edge-UE/cooperator separation R,
-
-    f(R) = 2 (pi L)^2 R^3 exp(-pi L R^2),
-
-    used as the outer weight of the coverage integral.  Algebraically this is
-    the second-nearest law (:func:`kth_distance_pdf` with m=2); it is kept as
-    its own routine because the coverage expression fixes this exact form.
-    """
-    if density <= 0:
-        raise ParameterError(f"density must be positive, got {density}")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
-        raise ParameterError("r must be non-negative")
-    out = 2.0 * (np.pi * density) ** 2 * r_arr**3 * np.exp(-np.pi * density * r_arr**2)
     return out if out.ndim else float(out)

@@ -102,6 +102,8 @@ class ScenarioParams:
             raise ParameterError(f"m_group must be >= 1, got {self.m_group}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.s1 is None:
             object.__setattr__(self, "s1", self.t_h)
         if self.s2 is None:

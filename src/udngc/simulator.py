@@ -53,7 +53,7 @@ from numpy.random import Generator, default_rng
 from .analytics import CoverageParams
 from .channel import far_gain, path_loss
 from .errors import InsufficientPointsError, ParameterError
-from .geometry import Window, guard_radius, sample_ppp
+from .geometry import sample_ppp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from .harness import ScenarioParams
@@ -106,8 +106,6 @@ class TrialResult:
     handovers_gchos: int
     handovers_traditional: int
     handovers_fr: int
-    duration: float
-    trajectory_length: float
     deployment_resamples: int = 0
 
     def __post_init__(self) -> None:
@@ -322,31 +320,21 @@ def run_handover_trial(scenario: "ScenarioParams", seed) -> TrialResult:
     rng = default_rng(seed)
     lam = scenario.lambda_bs
     m = scenario.m_group
-    guard = guard_radius(lam)
-    window = Window(center=(0.0, 0.0), radius=scenario.window_radius)
-    duration = scenario.duration
-    length = scenario.speed * duration
-    if length + guard > scenario.window_radius * (1.0 + 1e-9):
-        raise ParameterError(
-            "trajectory would leave the guard region: "
-            f"speed*duration + guard = {length + guard:.1f} > window_radius = "
-            f"{scenario.window_radius:.1f}"
-        )
+    length = scenario.speed * scenario.duration
 
     resamples = 0
-    deployment = sample_ppp(lam, window, rng.integers(2**63))
-    while deployment.size < m + 3:
+    pts = sample_ppp(lam, scenario.window_radius, rng.integers(2**63))
+    while len(pts) < m + 3:
         resamples += 1
         if resamples > _MAX_RESAMPLES:
             raise InsufficientPointsError(
                 f"deployment kept fewer than {m + 3} stations after "
                 f"{_MAX_RESAMPLES} resamples; enlarge the window or density"
             )
-        deployment = sample_ppp(lam, window, rng.integers(2**63))
+        pts = sample_ppp(lam, scenario.window_radius, rng.integers(2**63))
 
     direction = rng.uniform(0.0, 2.0 * np.pi)
     e = np.array([np.cos(direction), np.sin(direction)])
-    pts = deployment.points
     r_f = np.sqrt(m / (np.pi * lam))
     # twice the typical (m+2)-th nearest distance: at least r_f, as
     # _disk_changes needs, and wide enough that widening is rare
@@ -361,8 +349,6 @@ def run_handover_trial(scenario: "ScenarioParams", seed) -> TrialResult:
         handovers_gchos=_skipping_handovers(rng_gchos, strip, m, lam, batch),
         handovers_traditional=_nearest_changes(strip),
         handovers_fr=_disk_changes(strip, r_f),
-        duration=float(duration),
-        trajectory_length=float(length),
         deployment_resamples=resamples,
     )
 
@@ -409,11 +395,10 @@ def estimate_all_rates(
 ) -> dict[str, RateEstimate]:
     """Rates of all four policies from one shared set of trials."""
     results = simulate_trials(scenario, trials, base_seed, n_workers)
-    duration = results[0].duration
     out: dict[str, RateEstimate] = {}
     for policy in POLICIES:
         counts = np.array([getattr(r, f"handovers_{policy}") for r in results], dtype=float)
-        out[policy] = _rate_from_counts(counts, duration, trials)
+        out[policy] = _rate_from_counts(counts, scenario.duration, trials)
     return out
 
 

@@ -360,5 +360,3 @@ class TestCoverage:
             CoverageParams(tau=0.0, lambda_bs=0.01, m=3, pathloss=PL)
         with pytest.raises(ParameterError):
             CoverageParams(tau=1.0, lambda_bs=0.01, m=0, pathloss=PL)
-        with pytest.raises(ParameterError):
-            CoverageParams(tau=1.0, lambda_bs=0.01, m=3, pathloss=PL, quad_tol=1.0)

@@ -4,16 +4,9 @@ import pytest
 from numpy.random import default_rng
 from scipy import integrate
 
+from udngc.analytics import CoverageParams, _edge_density
 from udngc.errors import InsufficientPointsError, ParameterError
-from udngc.geometry import (
-    Deployment,
-    Window,
-    edge_distance_pdf,
-    guard_radius,
-    kth_distance_cdf,
-    kth_distance_pdf,
-    sample_ppp,
-)
+from udngc.geometry import guard_radius, kth_distance_cdf, kth_distance_pdf, sample_ppp
 from udngc.simulator import _Strip
 
 
@@ -28,49 +21,39 @@ class TestSamplePpp:
     def test_count_law(self):
         # mean count over many seeds approaches density * area within 1%
         lam, radius = 0.01, 100.0
-        window = Window(center=(0.0, 0.0), radius=radius)
-        counts = [sample_ppp(lam, window, seed).size for seed in range(10_000)]
+        counts = [len(sample_ppp(lam, radius, seed)) for seed in range(10_000)]
         expected = lam * np.pi * radius**2
         assert abs(np.mean(counts) / expected - 1.0) < 0.01
 
     def test_zero_radius_rejected(self):
         with pytest.raises(ParameterError):
-            Window(center=(0.0, 0.0), radius=0.0)
+            sample_ppp(0.01, 0.0, 1)
+        with pytest.raises(ParameterError):
+            sample_ppp(0.01, -10.0, 1)
 
     def test_non_positive_density_rejected(self):
-        window = Window(center=(0.0, 0.0), radius=10.0)
         with pytest.raises(ParameterError):
-            sample_ppp(0.0, window, 1)
+            sample_ppp(0.0, 10.0, 1)
         with pytest.raises(ParameterError):
-            sample_ppp(-1.0, window, 1)
+            sample_ppp(-1.0, 10.0, 1)
 
     def test_deterministic_for_fixed_seed(self):
-        window = Window(center=(0.0, 0.0), radius=500.0)
-        a = sample_ppp(0.001, window, 7)
-        b = sample_ppp(0.001, window, 7)
-        np.testing.assert_array_equal(a.points, b.points)
+        a = sample_ppp(0.001, 500.0, 7)
+        b = sample_ppp(0.001, 500.0, 7)
+        np.testing.assert_array_equal(a, b)
 
     def test_points_inside_window(self):
-        window = Window(center=(5.0, -3.0), radius=50.0)
-        dep = sample_ppp(0.01, window, 3)
-        assert window.contains(dep.points).all()
-
-    def test_points_immutable(self):
-        dep = sample_ppp(0.01, Window(center=(0.0, 0.0), radius=50.0), 3)
-        with pytest.raises(ValueError):
-            dep.points[0, 0] = 1.0
+        pts = sample_ppp(0.01, 50.0, 3)
+        assert pts.shape[1] == 2 and len(pts) > 0
+        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 50.0)
 
     def test_thinning_consistency(self):
         # keeping each point w.p. p matches sampling at p*lambda in count
         # mean and variance, within Monte Carlo error
         lam, p, radius, n = 0.01, 0.3, 60.0, 4000
-        window = Window(center=(0.0, 0.0), radius=radius)
         rng = default_rng(99)
-        thinned = []
-        for seed in range(n):
-            dep = sample_ppp(lam, window, seed)
-            thinned.append(int(rng.binomial(dep.size, p)))
-        direct = [sample_ppp(lam * p, window, 10**6 + seed).size for seed in range(n)]
+        thinned = [int(rng.binomial(len(sample_ppp(lam, radius, seed)), p)) for seed in range(n)]
+        direct = [len(sample_ppp(lam * p, radius, 10**6 + seed)) for seed in range(n)]
         mu = lam * p * np.pi * radius**2
         se = np.sqrt(mu / n)
         assert abs(np.mean(thinned) - np.mean(direct)) < 4 * np.sqrt(2) * se
@@ -146,23 +129,28 @@ class TestDistanceLaws:
         assert ks < 0.01
 
     def test_edge_pdf_normalisation(self):
-        val, _ = integrate.quad(lambda r: edge_distance_pdf(r, 0.01), 0, np.inf)
+        # the outer weight of the coverage integral is a density
+        density = _edge_density(CoverageParams(tau=1.0, lambda_bs=0.01, m=3))
+        val, _ = integrate.quad(density, 0, np.inf)
         assert abs(val - 1.0) < 1e-6
 
     def test_edge_pdf_equals_second_order_law(self):
+        # for m >= 2 the coverage integral weighs R by the printed edge law
+        # f(R) = 2 (pi lam)^2 R^3 exp(-pi lam R^2)
         lam = 0.004
         r = np.linspace(0.0, 80.0, 300)
-        np.testing.assert_allclose(
-            edge_distance_pdf(r, lam), kth_distance_pdf(r, 2, lam), rtol=1e-12
-        )
+        printed = 2.0 * (np.pi * lam) ** 2 * r**3 * np.exp(-np.pi * lam * r**2)
+        density = _edge_density(CoverageParams(tau=1.0, lambda_bs=lam, m=3))
+        np.testing.assert_allclose(density(r), printed, rtol=1e-12)
 
     def test_edge_pdf_mode(self):
-        # stationary point of the density: R = sqrt(3 / (2 pi lam))
+        # the edge law is the second-nearest law; its stationary point is
+        # R = sqrt(3 / (2 pi lam))
         lam = 0.01
         mode = np.sqrt(3.0 / (2.0 * np.pi * lam))
         assert abs(mode - 6.9099) < 5e-4
         r = np.linspace(0.01, 30.0, 20_000)
-        assert abs(r[np.argmax(edge_distance_pdf(r, lam))] - mode) < 5e-3
+        assert abs(r[np.argmax(kth_distance_pdf(r, 2, lam))] - mode) < 5e-3
 
 
 def test_guard_radius():
@@ -170,12 +158,3 @@ def test_guard_radius():
     with pytest.raises(ParameterError):
         guard_radius(0.0)
 
-
-def test_deployment_rejects_outside_points():
-    with pytest.raises(ParameterError):
-        Deployment(
-            points=np.array([[100.0, 100.0]]),
-            density=0.01,
-            window=Window(center=(0.0, 0.0), radius=10.0),
-            seed=0,
-        )

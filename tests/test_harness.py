@@ -92,6 +92,10 @@ class TestScenarioParams:
         assert main(["simulate", str(path), "--out", str(tmp_path / "sim.csv")]) == 2
         assert main(["figure", "fig5", "--set", "step=0.05", "--out", str(tmp_path / "f.csv")]) == 2
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError):
+            ScenarioParams(lambda_bs=0.01, seed=-1)
+
     def test_window_default_exceeds_guard(self):
         scn = ScenarioParams(lambda_bs=0.001)
         assert scn.window_radius > scn.guard
@@ -334,6 +338,34 @@ class TestCli:
         cfg = write_config(tmp_path, CONFIG)
         monkeypatch.setenv("UDNGC_SEED", "abc")
         assert main(["analytic", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "value, code",
+        [("7", 0), ("007", 0), ("abc", 2), (" 7", 2), ("1_000", 2), ("+-5", 2), ("-5", 2), ("", 2)],
+    )
+    def test_env_seed_one_rule(self, tmp_path, monkeypatch, capsys, value, code):
+        # analytic and figure accept and reject the same values, and a
+        # rejection names the variable
+        cfg = write_config(tmp_path, CONFIG)
+        monkeypatch.setenv("UDNGC_SEED", value)
+        for argv in (
+            ["analytic", str(cfg), "--out", str(tmp_path / "analytic.csv")],
+            ["figure", "fig11", "--threads", "1", "--out", str(tmp_path / "fig11.csv")],
+        ):
+            assert main(argv) == code
+            assert ("UDNGC_SEED" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, threads):
+        cfg = write_config(tmp_path, CONFIG)
+        for argv in (
+            ["simulate", str(cfg)],
+            ["validate", str(cfg)],
+            ["figure", "fig11", "--out", str(tmp_path / "fig11.csv")],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--threads", threads])
+            assert exc.value.code == 2
 
     def test_bad_override_exits_two(self, tmp_path):
         out = str(tmp_path / "fig7.csv")

@@ -166,8 +166,30 @@ class TestTrialEngine:
     def test_counts_and_metadata(self):
         res = run_handover_trial(SCN, [3, 1])
         assert res.handovers_gcho >= 0
-        assert res.duration == pytest.approx(SCN.duration)
-        assert res.trajectory_length == pytest.approx(SCN.speed * SCN.duration)
+        assert res.deployment_resamples == 0
+
+    @pytest.mark.parametrize(
+        "lam, m, window, seed, counts",
+        [
+            # (gcho, gchos, traditional, fr, deployment_resamples)
+            (0.001, 1, None, 0, (21, 9, 22, 28, 0)),
+            (0.01, 3, None, 1, (24, 11, 42, 145, 0)),
+            (0.01, 6, None, 2, (21, 9, 51, 244, 0)),
+            (0.001, 9, None, 3, (20, 9, 74, 394, 0)),
+            (0.01, 1, None, 4, (19, 14, 22, 44, 0)),
+            # a window holding about 11 stations, one short of m + 3
+            (0.001, 9, 60.0, 6, (0, 1, 1, 1, 4)),
+        ],
+    )
+    def test_counts_pinned(self, lam, m, window, seed, counts):
+        # the engine's random stream: a change to these counts changes every
+        # simulated rate, and has to be made on purpose
+        scn = ScenarioParams(lambda_bs=lam, m_group=m, window_radius=window)
+        res = run_handover_trial(scn, [seed, 0])
+        assert (
+            res.handovers_gcho, res.handovers_gchos, res.handovers_traditional,
+            res.handovers_fr, res.deployment_resamples,
+        ) == counts
 
     def test_policy_dominance(self):
         # skipping never executes more handovers than plain group-cell
@@ -402,7 +424,5 @@ def test_trial_result_validation():
             handovers_gchos=0,
             handovers_traditional=0,
             handovers_fr=0,
-            duration=1.0,
-            trajectory_length=10.0,
         )
 
