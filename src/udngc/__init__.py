@@ -13,7 +13,6 @@ from .analytics import (
     handover_cost,
     handover_rate_gcho,
     handover_rate_gchos,
-    handover_rate_radius,
     k_integral,
     laplace_interference,
     optimal_cluster_size,
@@ -31,13 +30,11 @@ from .errors import (
 from .geometry import guard_radius, kth_distance_pdf, sample_ppp
 from .harness import ScenarioParams, SweepRow, parse_config, run_figure, validate
 from .simulator import (
-    HandoverAction,
     RateEstimate,
     TrialResult,
     coverage_oracle_geometric,
     coverage_oracle_model,
     estimate_all_rates,
-    gchos_decision,
     run_handover_trial,
     simulate_trials,
 )

@@ -30,7 +30,6 @@ __all__ = [
     "CostParams",
     "CoverageParams",
     "ToeplitzState",
-    "handover_rate_radius",
     "handover_rate_gcho",
     "handover_rate_gchos",
     "signaling_overhead",
@@ -49,13 +48,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # handover rate family and costs
 # ---------------------------------------------------------------------------
-
-def handover_rate_radius(speed: float, r_m: float) -> float:
-    """Handover rate 2*speed/(pi*r_m) for a cluster footprint of radius r_m."""
-    if speed <= 0 or r_m <= 0:
-        raise ParameterError("speed and r_m must be positive")
-    return 2.0 * speed / (np.pi * r_m)
-
 
 def handover_rate_gcho(speed: float, lambda_bs: float, m: int) -> float:
     """Group-cell handover rate 2*speed*sqrt(lambda_bs)/(sqrt(pi)*sqrt(m))."""
@@ -93,18 +85,14 @@ def handover_cost(t_h: float, rate: float) -> float:
     return cost
 
 
-def cost_aware_coverage(p: float, e_h: int, d_cost: float) -> float:
-    """Coverage discounted by handover cost for a mobile UE.
-
-    Returns p*(1 - d_cost) when the handover indicator e_h is 1, else p.
-    """
+def cost_aware_coverage(p: float, d_cost: float) -> float:
+    """Coverage p*(1 - d_cost) of a mobile UE, discounted by its handover
+    cost ``d_cost``."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"p must lie in [0, 1], got {p}")
-    if e_h not in (0, 1):
-        raise ParameterError(f"e_h must be 0 or 1, got {e_h}")
     if not 0.0 <= d_cost <= 1.0:
         raise ParameterError(f"d_cost must lie in [0, 1], got {d_cost}")
-    return p * (1.0 - d_cost) if e_h == 1 else p
+    return p * (1.0 - d_cost)
 
 
 def ase_cost(lambda_bs: float, tau: float, p_tilde: float) -> float:
@@ -130,20 +118,21 @@ class CostParams:
                 raise ParameterError(f"{name} must be strictly positive")
 
 
-def _scheme_rate(scheme: str, speed: float, lambda_bs: float, m: int) -> float:
-    key = scheme.replace("-", "").replace("_", "").lower()
-    if key == "gcho":
-        return handover_rate_gcho(speed, lambda_bs, m)
-    if key == "gchos":
-        return handover_rate_gchos(speed, lambda_bs, m)
-    raise ParameterError(f"unknown scheme {scheme!r}; expected 'gcho' or 'gcho-s'")
+#: closed-form handover rate of each scheme, keyed by its name
+_SCHEME_RATES = {"gcho": handover_rate_gcho, "gchos": handover_rate_gchos}
+
+
+def _check_scheme(scheme: str) -> None:
+    if scheme not in _SCHEME_RATES:
+        raise ParameterError(f"unknown scheme {scheme!r}; expected 'gcho' or 'gchos'")
 
 
 def overall_cost(
     scheme: str, costs: CostParams, speed: float, lambda_bs: float, m: int
 ) -> float:
     """Weighted sum s1*rate + s2*signalling of handover and feedback load."""
-    rate = _scheme_rate(scheme, speed, lambda_bs, m)
+    _check_scheme(scheme)
+    rate = _SCHEME_RATES[scheme](speed, lambda_bs, m)
     return costs.s1 * rate + costs.s2 * signaling_overhead(costs.mu, costs.t_interval, m)
 
 
@@ -159,11 +148,9 @@ def optimal_cluster_size(
     """
     if speed <= 0 or lambda_bs <= 0:
         raise ParameterError("speed and lambda_bs must be positive")
-    key = scheme.replace("-", "").replace("_", "").lower()
-    if key not in ("gcho", "gchos"):
-        raise ParameterError(f"unknown scheme {scheme!r}; expected 'gcho' or 'gcho-s'")
+    _check_scheme(scheme)
     denom = np.pi * costs.mu**2 * costs.s2**2
-    if key == "gchos":
+    if scheme == "gchos":
         denom *= 4.0
     m_star = (costs.s1**2 * speed**2 * costs.t_interval**2 * lambda_bs / denom) ** (1.0 / 3.0)
     lo = max(1, int(np.floor(m_star)))

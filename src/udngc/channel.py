@@ -1,13 +1,13 @@
-"""Dual-slope path loss and the SIR of a cooperatively served UE.
+"""Dual-slope path loss.
 
 The channel gain falls as r^-eta1 up to the critical distance (near field,
 line-of-sight regime) and as Lambda * r^-eta2 beyond it, with Lambda chosen
 so the two branches join continuously.  The m nearest base stations transmit
-the useful signal; every other station interferes through the far branch.
-Noise is neglected (interference-limited regime).  :func:`cooperative_sir`
-is the one SIR evaluator, and the reference that
-:func:`udngc.simulator.coverage_oracle_geometric` is tested against; the
-oracles draw on the same two laws, :func:`path_loss` and :func:`far_gain`.
+the useful signal, each on its own branch (:func:`path_loss`); every other
+station interferes through the far branch (:func:`far_gain`).  Noise is
+neglected (interference-limited regime).  The coverage oracles draw on these
+two laws; ``cooperative_sir`` in ``tests/reference.py`` evaluates the same
+SIR station by station, as the reference the oracles are tested against.
 """
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPointsError, ParameterError
+from .errors import ParameterError
 
-__all__ = ["PathLossParams", "path_loss", "far_gain", "cooperative_sir"]
+__all__ = ["PathLossParams", "path_loss", "far_gain"]
 
 
 @dataclass(frozen=True)
@@ -60,26 +60,3 @@ def path_loss(r, params: PathLossParams):
     near = r_arr <= params.d_critical
     out = np.where(near, r_arr ** -params.eta1, far_gain(r_arr * r_arr, params))
     return out if out.ndim else float(out)
-
-
-def cooperative_sir(r, h, m: int, params: PathLossParams) -> tuple[float, float]:
-    """Signal and interference powers of a UE served by its m nearest stations.
-
-    ``r`` holds the UE's distances to every station and ``h`` the stations'
-    fading gains, in the same order.  The m nearest stations carry signal,
-    each on its own branch of :func:`path_loss`; every other station
-    interferes on the far branch Lambda * r^-eta2, whatever its distance.
-    Transmit power is normalised to one.
-    """
-    r = np.asarray(r, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if r.size <= m:
-        raise InsufficientPointsError(
-            f"need more than m={m} stations for interference, got {r.size}"
-        )
-    part = np.argpartition(r, m - 1)
-    coop = part[:m]
-    rest = part[m:]
-    signal = float(np.sum(path_loss(r[coop], params) * h[coop]))
-    interference = float(np.sum(far_gain(r[rest] ** 2, params) * h[rest]))
-    return signal, interference

@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import default_rng
-from scipy.special import gammainc, gammaln
+from scipy.special import gammaln
 
 from .errors import ParameterError
 
-__all__ = [
-    "guard_radius",
-    "sample_ppp",
-    "kth_distance_pdf",
-    "kth_distance_cdf",
-]
+__all__ = ["guard_radius", "sample_ppp", "kth_distance_pdf"]
 
 
 def guard_radius(density: float) -> float:
@@ -70,10 +65,3 @@ def kth_distance_pdf(r, m: int, density: float):
         )
     out = np.exp(log_pdf)
     return out if np.ndim(out) else float(out)
-
-
-def kth_distance_cdf(r, m: int, density: float):
-    """CDF matching :func:`kth_distance_pdf`: P(pi*density*r^2 area holds < m points)."""
-    r_arr = np.asarray(r, dtype=float)
-    out = gammainc(m, np.pi * density * r_arr**2)
-    return out if out.ndim else float(out)

@@ -18,6 +18,7 @@ import dataclasses
 import importlib.resources
 import io
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,13 +50,6 @@ CSV_HEADER = "parameter,value,metric,analytic,simulated,ci95,trials,runtime_ms"
 #: default trajectory length in units of sqrt(m_group / lambda_bs); sized so a
 #: trial sees on the order of twenty group-cell transits
 _LENGTH_FACTOR = 18.0
-
-_INT_FIELDS = {"m_group", "trials", "seed"}
-_FLOAT_FIELDS = {
-    "lambda_bs", "eta1", "eta2", "d_critical", "speed", "tau_db",
-    "t_h", "mu", "t_interval", "s1", "s2", "window_radius",
-}
-_ALL_FIELDS = _INT_FIELDS | _FLOAT_FIELDS
 
 
 @dataclass(frozen=True)
@@ -149,6 +143,12 @@ class ScenarioParams:
         )
 
 
+#: type of each scenario key, as ScenarioParams annotates it
+_FIELD_TYPES = {
+    f.name: int if f.type == "int" else float for f in dataclasses.fields(ScenarioParams)
+}
+
+
 def _parse_kv(text: str, source: str) -> dict:
     values: dict[str, float | int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -160,17 +160,21 @@ def _parse_kv(text: str, source: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _ALL_FIELDS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown key: {key}")
         try:
-            values[key] = int(val) if key in _INT_FIELDS else float(val)
+            value = _FIELD_TYPES[key](val)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {val!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{source}:{lineno}: {key} must be finite, got {val!r}")
+        values[key] = value
     return values
 
 
 def parse_config(path) -> ScenarioParams:
-    """Read a flat key=value scenario file ('#' comments allowed)."""
+    """Read a flat key=value scenario file ('#' comments allowed); every
+    value must be finite."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -301,7 +305,7 @@ class _ClosedForms(dict):
         elif label == "coverage[mobile]":
             # a handover cost of 1 or more leaves a mobile UE no coverage
             value = analytics.cost_aware_coverage(
-                self["coverage[stationary]"], 1, min(self["handover_cost[gcho]"], 1.0)
+                self["coverage[stationary]"], min(self["handover_cost[gcho]"], 1.0)
             )
         elif name == "ase" and arg in ("stationary", "mobile"):
             value = analytics.ase_cost(s.lambda_bs, s.tau_linear, self[f"coverage[{arg}]"])
@@ -562,9 +566,9 @@ def _golden_path() -> Path:
     return Path(importlib.resources.files("udngc") / "data" / "golden.csv")
 
 
-def _golden_checks(golden_path) -> list[CheckRow]:
+def _golden_checks() -> list[CheckRow]:
     rows = []
-    text = Path(golden_path).read_text()
+    text = _golden_path().read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("check,"):
@@ -598,12 +602,7 @@ def _golden_checks(golden_path) -> list[CheckRow]:
     return rows
 
 
-def _live_checks(
-    scenario: ScenarioParams,
-    threads: int,
-    rate_trials: int,
-    oracle_trials: int,
-) -> list[CheckRow]:
+def _live_checks(scenario: ScenarioParams, threads: int) -> list[CheckRow]:
     lam, v = scenario.lambda_bs, scenario.speed
     checks = []
 
@@ -639,7 +638,7 @@ def _live_checks(
 
     # coverage: analytic vs oracle, and tau-monotonicity
     p_ana = closed["coverage[stationary]"]
-    p_sim = simulator.coverage_oracle_model(params, oracle_trials, scenario.seed)
+    p_sim = simulator.coverage_oracle_model(params, _VALIDATE_ORACLE_TRIALS, scenario.seed)
     checks.append(CheckRow("coverage_vs_oracle", p_sim, p_ana, 0.015))
     taus_db = np.array([-10.0, 0.0, 10.0, 20.0])
     values = [
@@ -658,7 +657,7 @@ def _live_checks(
 
     # simulation against closed forms
     rates = simulator.estimate_all_rates(
-        scenario, rate_trials, scenario.seed, n_workers=threads
+        scenario, _VALIDATE_RATE_TRIALS, scenario.seed, n_workers=threads
     )
     rel = rates["gcho"].mean / closed["handover_rate[gcho]"] - 1.0
     checks.append(CheckRow("sim_gcho_vs_closed_form_rel", 0.0, rel, 0.15))
@@ -680,16 +679,11 @@ def _live_checks(
 
 
 def validate(
-    scenario: ScenarioParams,
-    out_path,
-    golden_path=None,
-    threads: int = 1,
-    rate_trials: int = _VALIDATE_RATE_TRIALS,
-    oracle_trials: int = _VALIDATE_ORACLE_TRIALS,
+    scenario: ScenarioParams, out_path, threads: int = 1
 ) -> tuple[bool, list[CheckRow]]:
     """Run the invariant suite; write the report CSV; return (all_passed, rows)."""
-    rows = _golden_checks(golden_path or _golden_path())
-    rows.extend(_live_checks(scenario, threads, rate_trials, oracle_trials))
+    rows = _golden_checks()
+    rows.extend(_live_checks(scenario, threads))
     lines = [VALIDATE_HEADER]
     for r in rows:
         status = "PASS" if r.passed else "FAIL"

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,10 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
 
 __all__ = [
     "POLICIES",
-    "HandoverAction",
     "TrialResult",
     "RateEstimate",
-    "gchos_decision",
     "run_handover_trial",
     "simulate_trials",
     "estimate_all_rates",
@@ -77,25 +74,12 @@ POLICIES = ("gcho", "gchos", "traditional", "fr")
 _MAX_RESAMPLES = 100
 
 
-class HandoverAction(Enum):
-    SKIP = "skip"
-    HANDOVER = "handover"
-
-
-def gchos_decision(
-    r_m: float, r1_i: float, r2_i: float, skip_done: bool
-) -> HandoverAction:
-    """Skip-or-handover rule evaluated at a boundary crossing.
-
-    SKIP requires all three: the first outside station already inside the
-    protection radius (r1_i < r_m), the second one close behind it
-    (r2_i <= 2*r1_i), and no skip pending (alternation guard).
-    """
-    if r_m <= 0 or r1_i <= 0 or r2_i <= 0:
-        raise ParameterError("distances must be positive")
-    if r1_i < r_m and r2_i <= 2.0 * r1_i and not skip_done:
-        return HandoverAction.SKIP
-    return HandoverAction.HANDOVER
+def _skips(r_m: float, r1_i: float, r2_i: float, skip_done: bool) -> bool:
+    """Skip rule at a boundary crossing: skip (execute no handover) when the
+    first outside station is already inside the protection radius
+    (r1_i < r_m), the second one is close behind it (r2_i <= 2*r1_i), and no
+    skip is pending (alternation guard); otherwise hand over."""
+    return bool(r1_i < r_m and r2_i <= 2.0 * r1_i and not skip_done)
 
 
 @dataclass(frozen=True)
@@ -301,8 +285,7 @@ def _skipping_handovers(rng: Generator, strip: _Strip, m: int, lam: float, batch
         ids, dists = strip.nearest(t, m + 2)
         rel_a = strip.all_a[members] - t
         r_inst = float(np.sqrt((rel_a**2 + strip.all_b[members] ** 2).max()))
-        action = gchos_decision(r_inst, dists[m], dists[m + 1], skip_done)
-        skip_done = action is HandoverAction.SKIP
+        skip_done = _skips(r_inst, dists[m], dists[m + 1], skip_done)
         events += not skip_done
         members = ids[:m]
         chord, skip_chord = next(footprints)
@@ -599,8 +582,8 @@ def coverage_oracle_geometric(scenario: "ScenarioParams", trials: int, seed: int
 
     The UE sits at the origin of a PPP drawn nearest first.  Its m nearest
     stations carry the signal, each on its own branch of the path loss; the
-    rest interfere on the far branch, as :func:`udngc.channel.cooperative_sir`
-    evaluates them.  Interferers are summed out to a squared radius p_c and
+    rest interfere on the far branch, as ``cooperative_sir`` in
+    ``tests/reference.py`` evaluates them.  Interferers are summed out to a squared radius p_c and
     the rest is replaced by its mean, as in :func:`coverage_oracle_model`,
     under the same 1e-4 budget; the bound uses |f'| <= 1/g_1^2 of the
     signal's density for m = 1 and 1/g_1^2 + 1/(g_1*g_2) for m >= 2, with

@@ -161,7 +161,7 @@ def test_criterion_7_ase_mobility_gap():
             p = analytics.coverage_probability(params)
             stationary = analytics.ase_cost(lam, 1.0, p)
             mobile = analytics.ase_cost(
-                lam, 1.0, analytics.cost_aware_coverage(p, 1, d_cost)
+                lam, 1.0, analytics.cost_aware_coverage(p, d_cost)
             )
             gap = (stationary - mobile) / stationary
             assert gap == pytest.approx(d_cost, abs=1e-12)

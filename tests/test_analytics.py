@@ -16,7 +16,6 @@ from udngc.analytics import (
     handover_cost,
     handover_rate_gcho,
     handover_rate_gchos,
-    handover_rate_radius,
     k_integral,
     laplace_interference,
     optimal_cluster_size,
@@ -38,13 +37,6 @@ DEFAULT_COSTS = CostParams(t_h=0.3, s1=0.3, s2=0.01 * 5e-3, mu=1.0, t_interval=5
 
 
 class TestRateFamily:
-    def test_radius_form(self):
-        assert handover_rate_radius(np.pi, 2.0) == pytest.approx(1.0)
-        assert handover_rate_radius(20.0, 5.0) == pytest.approx(
-            2 * handover_rate_radius(10.0, 5.0)
-        )
-        assert handover_rate_radius(10.0, 30.9) == pytest.approx(0.2060, abs=5e-4)
-
     def test_gcho_value(self):
         assert handover_rate_gcho(10.0, 0.001, 3) == pytest.approx(0.20601, abs=5e-6)
 
@@ -90,9 +82,8 @@ class TestCosts:
             assert handover_cost(2.0, 1.0) == pytest.approx(2.0)
 
     def test_cost_aware_coverage(self):
-        assert cost_aware_coverage(0.8, 0, 0.1) == pytest.approx(0.8)
-        assert cost_aware_coverage(0.8, 1, 0.1) == pytest.approx(0.72)
-        assert cost_aware_coverage(0.8, 1, 0.0) == pytest.approx(0.8)
+        assert cost_aware_coverage(0.8, 0.1) == pytest.approx(0.72)
+        assert cost_aware_coverage(0.8, 0.0) == pytest.approx(0.8)
 
     def test_ase(self):
         assert ase_cost(0.01, 1.0, 0.5) == pytest.approx(0.005)
@@ -101,7 +92,7 @@ class TestCosts:
     def test_ase_mobility_gap_identity(self):
         p, d_cost = 0.73, 0.194
         stationary = ase_cost(0.01, 1.0, p)
-        mobile = ase_cost(0.01, 1.0, cost_aware_coverage(p, 1, d_cost))
+        mobile = ase_cost(0.01, 1.0, cost_aware_coverage(p, d_cost))
         assert (stationary - mobile) / stationary == pytest.approx(d_cost)
 
     def test_overall_cost_value(self):

