@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 
 __all__ = ["PathLossParams", "path_loss", "far_gain"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathLossParams:
     """Dual-slope path loss constants."""
 
@@ -29,6 +29,7 @@ class PathLossParams:
     d_critical: float = 10.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 <= self.eta1 <= self.eta2:
             raise ParameterError(
                 f"exponents must satisfy 0 <= eta1 <= eta2, got eta1={self.eta1}, eta2={self.eta2}"

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the finite-value check
+of the parameter dataclasses."""
+import dataclasses
+import math
+import numbers
 
 
 class UdngcError(Exception):
@@ -20,3 +24,16 @@ class ConfigError(UdngcError):
 
 class NumericalError(UdngcError):
     """Quadrature or another numerical routine failed to converge."""
+
+
+def require_finite(params) -> None:
+    """Raise :class:`ParameterError` naming the first real-valued field of the
+    dataclass instance ``params`` that is nan or infinite; integers are
+    always finite, and ``None`` and non-numeric fields are left to the
+    caller's own checks."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, numbers.Integral) or not isinstance(value, numbers.Real):
+            continue
+        if not math.isfinite(value):
+            raise ParameterError(f"{f.name} must be finite, got {value!r}")

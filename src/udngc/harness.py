@@ -28,7 +28,7 @@ import numpy as np
 from . import analytics, simulator
 from .analytics import CostParams, CoverageParams
 from .channel import PathLossParams
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, require_finite
 from .geometry import guard_radius
 
 __all__ = [
@@ -79,6 +79,7 @@ class ScenarioParams:
     window_radius: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.lambda_bs <= 0:
             raise ParameterError(f"lambda_bs must be > 0, got {self.lambda_bs}")
         if not 0.0 <= self.eta1 <= self.eta2:

@@ -1,4 +1,7 @@
 """Closed forms: rate family, costs, k integrals, recursion, coverage probability."""
+import dataclasses
+import pickle
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -24,8 +27,9 @@ from udngc.analytics import (
     toeplitz_matrix_coefficients,
     toeplitz_state,
 )
+from reference import coverage_log_trapezoid
 from udngc.channel import PathLossParams
-from udngc.errors import ParameterError
+from udngc.errors import NumericalError, ParameterError
 
 PL = PathLossParams(eta1=2.0, eta2=4.0, d_critical=10.0)
 
@@ -192,6 +196,15 @@ class TestKIntegral:
         for i in orders:
             assert got[i] == k_integral(int(i), 0.7, 4.5)
 
+    def test_array_of_thetas_broadcasts_against_orders(self):
+        thetas = np.array([0.0, 0.3, 7.0, 1e200])
+        got = k_integral(np.arange(5), thetas[:, None], 4.5)
+        assert got.shape == (4, 5)
+        for row, theta in zip(got, thetas):
+            assert np.array_equal(row, k_integral(np.arange(5), float(theta), 4.5))
+        with pytest.raises(ParameterError):
+            k_integral(1, np.array([0.5, -0.1]), 4.0)
+
     @settings(max_examples=60, deadline=None)
     @given(
         i=st.integers(0, 9),
@@ -306,6 +319,29 @@ class TestToeplitzRecursion:
         state = toeplitz_state(cp, big_r)
         assert np.max(np.abs(toeplitz_matrix_coefficients(state) - state.a_values)) < 1e-10
 
+    @pytest.mark.parametrize("m", [1, 3, 20])
+    def test_array_of_distances_equals_scalar_calls(self, m):
+        cp = CoverageParams(tau=2.0, lambda_bs=0.003, m=m,
+                            pathloss=PathLossParams(eta1=2.0, eta2=4.5, d_critical=10.0))
+        big_r = np.array([1e-12, 0.3, 8.0, 25.0, 140.0])
+        state = toeplitz_state(cp, big_r)
+        assert state.a_values.shape == (5, m)
+        assert state.k_values.shape == (5, m - 1)
+        assert state.coverage_term.shape == (5,)
+        for n, r in enumerate(big_r):
+            one = toeplitz_state(cp, float(r))
+            np.testing.assert_allclose(state.a_values[n], one.a_values, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(state.k_values[n], one.k_values, rtol=1e-14, atol=0)
+            assert state.coverage_term[n] == pytest.approx(one.coverage_term, rel=1e-14)
+            assert state.b0[n] == pytest.approx(one.b0, rel=1e-14)
+            assert state.theta[n] == pytest.approx(one.theta, rel=1e-14)
+
+    def test_non_positive_distance_rejected(self):
+        cp = CoverageParams(tau=1.0, lambda_bs=0.01, m=3, pathloss=PL)
+        for big_r in (0.0, -1.0, np.array([1.0, 0.0])):
+            with pytest.raises(ParameterError):
+                toeplitz_state(cp, big_r)
+
     def test_state_fields(self):
         cp = CoverageParams(tau=1.0, lambda_bs=0.01, m=3, pathloss=PL)
         state = toeplitz_state(cp, 8.0)
@@ -346,8 +382,63 @@ class TestCoverage:
             rho = np.sqrt(tau) * (np.pi / 2 - np.arctan(1 / np.sqrt(tau)))
             assert coverage_probability(cp) == pytest.approx(1 / (1 + rho), abs=1e-6)
 
+    # m = 1, where the conditional coverage is a peak of width ~1e-3 R at
+    # R -> 0 on a range of tens of metres; an adaptive Gauss-Kronrod rule on
+    # [0, r_max] gave 1.5e-16, 1.5e-15 and 2.2e-13, never sampling the peak.
+    # Reference values from coverage_log_trapezoid with 2e6 steps.
+    @pytest.mark.parametrize("tau_db, eta2, d_critical, lam, expected", [
+        (20.0, 4.0, 1000.0, 0.01, 2.58012275e-7),
+        (30.0, 6.0, 10.0, 1.0, 3.4384079e-8),
+        # near eta2 = 2 the coverage is about 1/(1 + 2 tau / (eta2 - 2))
+        (0.0, 2.00001, 1.0, 0.001, 4.9998418e-6),
+    ])
+    def test_narrow_peak_near_zero_distance(self, tau_db, eta2, d_critical, lam, expected):
+        pl = PathLossParams(eta1=2.0, eta2=eta2, d_critical=d_critical)
+        cp = CoverageParams(tau=10 ** (tau_db / 10), lambda_bs=lam, m=1, pathloss=pl)
+        reference = coverage_log_trapezoid(cp, 2_000_000)
+        assert reference == pytest.approx(expected, rel=1e-7)
+        assert coverage_probability(cp) == pytest.approx(reference, rel=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tau_db=st.floats(-20.0, 30.0),
+        m=st.integers(1, 20),
+        eta2=st.floats(2.0, 6.0, exclude_min=True),
+        lam=st.floats(1e-6, 1.0),
+        d_critical=st.floats(1e-3, 1e3),
+    )
+    def test_converges_and_matches_log_trapezoid(self, tau_db, m, eta2, lam, d_critical):
+        pl = PathLossParams(eta1=2.0, eta2=eta2, d_critical=d_critical)
+        cp = CoverageParams(tau=10 ** (tau_db / 10), lambda_bs=lam, m=m, pathloss=pl)
+        value = coverage_probability(cp)  # NumericalError if it does not converge
+        assert 0.0 <= value <= 1.0
+        assert abs(value - coverage_log_trapezoid(cp, 20_000)) <= 1e-6
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(analytics, "_MAX_LEVEL", 2)  # below the first stopping level
+        cp = CoverageParams(tau=1.0, lambda_bs=0.01, m=3, pathloss=PL)
+        with pytest.raises(NumericalError):
+            coverage_probability(cp)
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             CoverageParams(tau=0.0, lambda_bs=0.01, m=3, pathloss=PL)
         with pytest.raises(ParameterError):
             CoverageParams(tau=1.0, lambda_bs=0.01, m=0, pathloss=PL)
+
+    @pytest.mark.parametrize("field", ["tau", "lambda_bs", "m"])
+    def test_non_finite_value_rejected(self, field):
+        kwargs = {"tau": 1.0, "lambda_bs": 0.01, "m": 3, field: float("nan")}
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            CoverageParams(**kwargs, pathloss=PL)
+
+    def test_params_are_slotted_and_round_trip(self):
+        cp = CoverageParams(tau=2.0, lambda_bs=0.01, m=3, pathloss=PL)
+        assert not hasattr(cp, "__dict__") and not hasattr(PL, "__dict__")
+        assert pickle.loads(pickle.dumps(cp)) == cp
+        assert pickle.loads(pickle.dumps(PL)) == PL
+        moved = dataclasses.replace(cp, tau=3.0)
+        assert moved.tau == 3.0 and moved.pathloss is PL
+        assert dataclasses.replace(PL, eta2=4.5).continuity_constant == pytest.approx(10.0**2.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cp.tau = 1.0

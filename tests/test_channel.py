@@ -47,6 +47,11 @@ class TestPathLoss:
         with pytest.raises(ParameterError):
             PathLossParams(eta1=5.0, eta2=4.0, d_critical=10.0)
 
+    @pytest.mark.parametrize("field", ["eta1", "eta2", "d_critical"])
+    def test_non_finite_value_rejected(self, field):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            PathLossParams(**{field: float("inf")})
+
 
 class TestSirExact:
     """cooperative_sir: each cooperator on its own branch, the rest far."""

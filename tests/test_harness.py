@@ -97,6 +97,16 @@ class TestScenarioParams:
         with pytest.raises(ParameterError):
             ScenarioParams(lambda_bs=0.01, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_bs", float("nan")), ("speed", float("nan")), ("tau_db", float("inf")),
+        ("window_radius", float("inf")), ("s1", float("nan")), ("d_critical", float("-inf")),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        # nan passes every `<= 0` check, so before this rule the scenario was
+        # accepted and analytic_rows failed later with a bare ValueError
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            ScenarioParams(**{"lambda_bs": 0.01, field: value})
+
     def test_window_default_exceeds_guard(self):
         scn = ScenarioParams(lambda_bs=0.001)
         assert scn.window_radius > scn.guard

@@ -7,6 +7,9 @@ are found in the syntax tree: a name loaded, an attribute, or an imported
 name.  A mention in a docstring or comment does not count.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import udngc
@@ -47,3 +50,16 @@ def test_every_exported_name_has_a_caller_in_the_package():
     read = set().union(*map(read_names, MODULES.values()))
     unused = sorted(f"{module}.{name}" for module, name in exports if name not in read)
     assert not unused, f"exported, but read nowhere in the package: {unused}"
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    # the package needs only scipy.special; scipy.integrate would pull in
+    # scipy.optimize and scipy.sparse.linalg at every import
+    heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize")
+    code = f"import sys, udngc; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(udngc.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
